@@ -151,8 +151,13 @@ pub struct ProtocolConfig {
     /// pushed data beyond this capacity is dropped and recovered by
     /// go-back-N retransmission.  Fig. 3 uses 12 KiB, Fig. 6 uses 4 KiB.
     pub pushed_buffer_capacity: usize,
-    /// Maximum payload bytes carried by a single wire packet (the Ethernet
-    /// MTU minus protocol headers for the internode path).
+    /// Maximum payload bytes carried by a single **wire** packet: the
+    /// Ethernet MTU minus protocol headers.  It fragments every internode
+    /// frame, and the push phase on both paths (push fragments are admitted
+    /// against the pushed buffer one packet at a time).  The **intranode pull
+    /// phase ignores it**: shared memory has no MTU, so a pulled remainder
+    /// crosses the node in fixed
+    /// [`INTRANODE_PULL_CHUNK`](crate::INTRANODE_PULL_CHUNK) (64 KiB) pieces.
     pub max_payload: usize,
     /// Go-back-N transport configuration for internode channels.  Shared by
     /// both reliability modes: the window / RTO / retry knobs mean the same
@@ -248,7 +253,7 @@ impl ProtocolConfig {
                 what: "max_payload must be non-zero".into(),
             });
         }
-        if self.max_payload > 65_536 {
+        if self.max_payload > crate::INTRANODE_PULL_CHUNK {
             return Err(Error::InvalidConfig {
                 what: format!("max_payload {} exceeds 64 KiB", self.max_payload),
             });

@@ -411,6 +411,16 @@ struct PeerState {
     incoming: Vec<u32>,
 }
 
+/// Payload bytes of one intranode `PullData` packet.  The pull phase of an
+/// intranode transfer is a memory copy through the cross-space zero buffer,
+/// and shared memory has no MTU: the pulled remainder moves in pieces this
+/// large (each still a zero-copy slice of the sender's buffer), which bounds
+/// how long one reception handler — one shard-lock hold on the host fabric —
+/// copies before the next packet gets a turn.  Equal to the ceiling
+/// [`ProtocolConfig::validate`] puts on `max_payload`, so no packet of
+/// either path ever carries more.
+pub const INTRANODE_PULL_CHUNK: usize = 64 * 1024;
+
 /// How many scratch vectors / assembly shells the engine keeps pooled.
 const SCRATCH_POOL_CAP: usize = 8;
 
@@ -869,10 +879,16 @@ impl Endpoint {
         }
     }
 
+    /// `true` when traffic to `peer` moves through shared memory as bare
+    /// packets ([`Action::Transmit`]) rather than ARQ frames.
+    pub(crate) fn bypasses_arq(&self, peer: ProcessId) -> bool {
+        self.id.same_node(&peer) && self.config.reliable_intranode
+    }
+
     /// Sends a protocol packet towards `dst`, choosing the intranode or
     /// internode path and wrapping in go-back-N frames as needed.
     pub(crate) fn submit_packet(&mut self, dst: ProcessId, packet: Packet, inject: InjectMode) {
-        if self.id.same_node(&dst) && self.config.reliable_intranode {
+        if self.bypasses_arq(dst) {
             self.push_action(Action::Transmit {
                 dst,
                 packet,

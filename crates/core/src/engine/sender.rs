@@ -3,7 +3,7 @@
 
 // ppmsg-lint: deny(hot_path_alloc) — steady-state engine path; pooled buffers only.
 
-use super::{Action, Endpoint, InjectMode, TranslateCtx};
+use super::{Action, Endpoint, InjectMode, TranslateCtx, INTRANODE_PULL_CHUNK};
 use crate::btp::BtpSplit;
 use crate::error::{Error, Result};
 use crate::ops::{Completion, OpId, SendOp, Status};
@@ -298,8 +298,11 @@ impl Endpoint {
     }
 
     /// Serves a pull request arriving from `src` (the receiver of one of our
-    /// registered sends): transmits the pulled remainder, fragmented to the
-    /// configured maximum payload size, and completes the send.
+    /// registered sends): transmits the pulled remainder and completes the
+    /// send.  An internode remainder is fragmented to the configured maximum
+    /// payload (one wire frame each); an intranode remainder crosses shared
+    /// memory, which has no MTU, so it travels in [`INTRANODE_PULL_CHUNK`]
+    /// pieces — one packet for anything up to 64 KiB.
     pub(crate) fn serve_pull_request(&mut self, src: ProcessId, packet: &Packet) {
         let msg_id = packet.header.msg_id;
         let Some(pending) = self.send_queue.get_mut(msg_id) else {
@@ -327,7 +330,11 @@ impl Endpoint {
 
         let total_len = payload.len();
         let eager_len = split.first_push + split.second_push;
-        let max_payload = self.config().max_payload;
+        let chunk_len = if self.bypasses_arq(dst) {
+            INTRANODE_PULL_CHUNK
+        } else {
+            self.config().max_payload
+        };
         self.stats.pull_requests_served += 1;
 
         // Transmit the remainder (arrow 1b.2 in Fig. 1).  The reception
@@ -339,7 +346,7 @@ impl Endpoint {
         payload.for_each_chunk(
             split.pulled_offset(),
             total_len,
-            max_payload,
+            chunk_len,
             |offset, chunk| {
                 let header = PacketHeader {
                     kind: PacketKind::PullData,

@@ -14,12 +14,14 @@ fn payload(len: usize) -> Bytes {
 }
 
 /// Drains one endpoint's actions into its peer, collecting non-transport
-/// actions into `out`.  Returns `true` if any action was processed.
+/// actions into `out` and showing every protocol packet (bare or framed) to
+/// `tap` before it is delivered.  Returns `true` if any action was processed.
 fn pump(
     me: &mut Endpoint,
     other: &mut Endpoint,
     out: &mut Vec<Action>,
     timers: &mut Vec<(ProcessId, crate::types::TimerId)>,
+    tap: &mut dyn FnMut(&crate::wire::Packet),
 ) -> bool {
     let mut progressed = false;
     while let Some(action) = me.poll_action() {
@@ -27,10 +29,14 @@ fn pump(
         match action {
             Action::Transmit { dst, packet, .. } => {
                 assert_eq!(dst, other.id());
+                tap(&packet);
                 other.handle_packet(me.id(), packet);
             }
             Action::TransmitFrame { dst, frame, .. } => {
                 assert_eq!(dst, other.id());
+                if let crate::reliability::Frame::Data { packet, .. } = &frame {
+                    tap(packet);
+                }
                 other.handle_frame(me.id(), frame);
             }
             Action::SetTimer { timer, .. } => timers.push((me.id(), timer)),
@@ -46,13 +52,22 @@ fn pump(
 /// Relays traffic between two endpoints until both are quiescent, returning
 /// every non-transport action each produced (in order).
 fn run_pair(a: &mut Endpoint, b: &mut Endpoint) -> (Vec<Action>, Vec<Action>) {
+    run_pair_tapped(a, b, &mut |_| {})
+}
+
+/// [`run_pair`], showing every protocol packet either side emits to `tap`.
+fn run_pair_tapped(
+    a: &mut Endpoint,
+    b: &mut Endpoint,
+    tap: &mut dyn FnMut(&crate::wire::Packet),
+) -> (Vec<Action>, Vec<Action>) {
     let mut out_a = Vec::new();
     let mut out_b = Vec::new();
     let mut timers: Vec<(ProcessId, crate::types::TimerId)> = Vec::new();
     for _ in 0..10_000 {
         let mut progressed = false;
-        progressed |= pump(a, b, &mut out_a, &mut timers);
-        progressed |= pump(b, a, &mut out_b, &mut timers);
+        progressed |= pump(a, b, &mut out_a, &mut timers, tap);
+        progressed |= pump(b, a, &mut out_b, &mut timers, tap);
         if !progressed {
             // Fire any outstanding timers once; if nothing new happens, stop.
             if timers.is_empty() {
@@ -433,8 +448,8 @@ fn push_all_overflows_small_pushed_buffer_and_recovers() {
     let mut posted = false;
     let mut delivered: Option<Bytes> = None;
     for _ in 0..100_000 {
-        let mut progressed = pump(&mut s, &mut r, &mut out_s, &mut timers);
-        progressed |= pump(&mut r, &mut s, &mut out_r, &mut timers);
+        let mut progressed = pump(&mut s, &mut r, &mut out_s, &mut timers, &mut |_| {});
+        progressed |= pump(&mut r, &mut s, &mut out_r, &mut timers, &mut |_| {});
         if delivered.is_none() {
             delivered = recv_complete_data(&mut r);
         }
@@ -666,7 +681,7 @@ fn matched_receive_cannot_be_cancelled() {
     // complete: pump once without firing timers or serving the pull.
     let mut out = Vec::new();
     let mut timers = Vec::new();
-    pump(&mut s, &mut r, &mut out, &mut timers);
+    pump(&mut s, &mut r, &mut out, &mut timers, &mut |_| {});
     assert!(!r.cancel(op), "matched receive must refuse cancellation");
     let _ = run_pair(&mut s, &mut r);
     assert_eq!(
@@ -1051,4 +1066,159 @@ fn vectored_send_cancel_reclaims_segments() {
         .find(|c| c.op == OpId::Send(op))
         .expect("cancellation completion");
     assert_eq!(done.status, Status::Cancelled);
+}
+
+// ---------------------------------------------------------------------------
+// The intranode pull phase crosses shared memory: fixed 64 KiB pieces, not
+// wire-MTU fragments.
+// ---------------------------------------------------------------------------
+
+/// Runs one transfer of `segments` (receive posted first) and returns the
+/// `(offset, payload)` of every `PullData` packet the sender emitted, after
+/// checking delivery.
+fn pull_data_packets(
+    s: &mut Endpoint,
+    r: &mut Endpoint,
+    segments: &[Bytes],
+) -> Vec<(usize, Bytes)> {
+    let total: usize = segments.iter().map(Bytes::len).sum();
+    r.post_recv(s.id(), Tag(8), total).unwrap();
+    if let [single] = segments {
+        s.post_send(r.id(), Tag(8), single.clone()).unwrap();
+    } else {
+        s.post_send_vectored(r.id(), Tag(8), segments).unwrap();
+    }
+    let mut pulled = Vec::new();
+    run_pair_tapped(s, r, &mut |packet| {
+        if packet.header.kind == PacketKind::PullData {
+            pulled.push((packet.header.offset as usize, packet.payload.clone()));
+        }
+    });
+    let got = recv_complete_data(r).expect("message delivered");
+    let expected: Vec<u8> = segments.iter().flat_map(|s| s.iter().copied()).collect();
+    assert_eq!(&got[..], &expected[..]);
+    assert!(s.idle() && r.idle());
+    pulled
+}
+
+/// Asserts that `pulled` tiles `[start, total)` of the concatenated
+/// `segments` in order, each payload a pointer-identical slice of exactly
+/// one segment of at most `chunk` bytes, and as few of them as that allows.
+fn assert_zero_copy_tiling(
+    pulled: &[(usize, Bytes)],
+    segments: &[Bytes],
+    start: usize,
+    chunk: usize,
+) {
+    let mut cursor = start;
+    let mut expected_packets = 0;
+    let mut base = 0;
+    for segment in segments {
+        let (lo, hi) = (start.max(base), base + segment.len());
+        if hi > lo {
+            expected_packets += (hi - lo).div_ceil(chunk);
+        }
+        base = hi;
+    }
+    assert_eq!(pulled.len(), expected_packets, "PullData packet count");
+    for (offset, payload) in pulled {
+        assert_eq!(
+            *offset, cursor,
+            "pulled packets tile the remainder in order"
+        );
+        assert!(!payload.is_empty() && payload.len() <= chunk);
+        let mut base = 0;
+        let segment = segments
+            .iter()
+            .find(|segment| {
+                let inside = *offset < base + segment.len();
+                if !inside {
+                    base += segment.len();
+                }
+                inside
+            })
+            .expect("offset inside some segment");
+        assert!(
+            offset - base + payload.len() <= segment.len(),
+            "packet at {offset} crosses a segment boundary"
+        );
+        // SAFETY: the bounds check above proved `offset - base` lies inside
+        // `segment`.
+        let expect_ptr = unsafe { segment.as_ptr().add(offset - base) };
+        assert_eq!(payload.as_ptr(), expect_ptr, "payload was copied");
+        cursor += payload.len();
+    }
+    assert_eq!(cursor, base, "pulled packets reach the end of the message");
+}
+
+#[test]
+fn intranode_pull_travels_in_64k_zero_copy_chunks() {
+    let chunk = crate::INTRANODE_PULL_CHUNK;
+    assert_eq!(chunk, 64 * 1024);
+    for len in [17, 1000, 4096, chunk, chunk + 16, chunk + 17, 3 * chunk + 5] {
+        let (mut s, mut r) = intranode_pair(ProtocolConfig::paper_intranode());
+        let data = payload(len);
+        let pulled = pull_data_packets(&mut s, &mut r, std::slice::from_ref(&data));
+        let remainder = s.stats().bytes_pulled as usize;
+        assert_eq!(
+            remainder,
+            len - 16,
+            "BTP pushes 16 bytes, the rest is pulled"
+        );
+        assert_eq!(pulled.len(), remainder.div_ceil(chunk), "len {len}");
+        assert_zero_copy_tiling(&pulled, std::slice::from_ref(&data), 16, chunk);
+    }
+}
+
+#[test]
+fn internode_pull_still_fragments_at_max_payload() {
+    for len in [4096, 64 * 1024, 100_000] {
+        let cfg = ProtocolConfig::paper_internode();
+        let max_payload = cfg.max_payload;
+        let (mut s, mut r) = internode_pair(cfg);
+        let data = payload(len);
+        let pulled = pull_data_packets(&mut s, &mut r, std::slice::from_ref(&data));
+        let remainder = s.stats().bytes_pulled as usize;
+        assert_eq!(
+            remainder,
+            len - 760,
+            "BTP(1) + BTP(2) = 760 bytes are pushed"
+        );
+        assert_eq!(pulled.len(), remainder.div_ceil(max_payload), "len {len}");
+        assert_zero_copy_tiling(&pulled, std::slice::from_ref(&data), 760, max_payload);
+    }
+}
+
+#[test]
+fn unreliable_intranode_pull_fragments_like_the_wire() {
+    // Same-node traffic forced through the ARQ layer is framed, and a frame
+    // carries at most `max_payload`.
+    let mut cfg = ProtocolConfig::paper_intranode();
+    cfg.reliable_intranode = false;
+    let max_payload = cfg.max_payload;
+    let (mut s, mut r) = intranode_pair(cfg);
+    let data = payload(20_000);
+    let pulled = pull_data_packets(&mut s, &mut r, std::slice::from_ref(&data));
+    assert_eq!(pulled.len(), (20_000usize - 16).div_ceil(max_payload));
+    assert_zero_copy_tiling(&pulled, std::slice::from_ref(&data), 16, max_payload);
+}
+
+#[test]
+fn intranode_vectored_pull_splits_at_segment_boundaries() {
+    // 10 + 70 000 + 0 + 3 + 66 000 bytes: the first segment is pushed whole
+    // (with 6 bytes of the second); the pull sends the rest of the second
+    // segment as 64 KiB + tail, skips the empty one, and never lets a
+    // packet straddle two segments however small the neighbour.
+    let chunk = crate::INTRANODE_PULL_CHUNK;
+    let sizes = [10usize, 70_000, 0, 3, 66_000];
+    let segments: Vec<Bytes> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| Bytes::from(vec![i as u8 + 1; n]))
+        .collect();
+    let (mut s, mut r) = intranode_pair(ProtocolConfig::paper_intranode());
+    let pulled = pull_data_packets(&mut s, &mut r, &segments);
+    let lens: Vec<usize> = pulled.iter().map(|(_, p)| p.len()).collect();
+    assert_eq!(lens, [chunk, 70_000 - 6 - chunk, 3, chunk, 66_000 - chunk]);
+    assert_zero_copy_tiling(&pulled, &segments, 16, chunk);
 }

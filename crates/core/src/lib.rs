@@ -101,7 +101,9 @@ pub mod zbuf;
 
 pub use btp::{BtpPolicy, BtpSplit};
 pub use config::{EndpointConfig, OptFlags, ProtocolConfig, ProtocolMode};
-pub use engine::{Action, CopyKind, Endpoint, EndpointStats, InjectMode, TranslateCtx};
+pub use engine::{
+    Action, CopyKind, Endpoint, EndpointStats, InjectMode, TranslateCtx, INTRANODE_PULL_CHUNK,
+};
 pub use error::{Error, Result};
 pub use index::{Slab, SrcTagMap, U64Index};
 pub use ops::{

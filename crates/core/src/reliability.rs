@@ -752,8 +752,7 @@ impl SelectiveRepeat {
         // miss per SACK; at the threshold it is resent once and the count
         // restarts (mirrors TCP dup-ack recovery).
         if let Some(max_sacked) = max_sacked {
-            let mut first_hole: Option<u64> = None;
-            let mut resend: Vec<u64> = Vec::new();
+            let mut hole_seen = false;
             for slot in self.in_flight.iter_mut() {
                 if slot.seq >= max_sacked {
                     break;
@@ -761,22 +760,15 @@ impl SelectiveRepeat {
                 if slot.acked || slot.fast_retx {
                     continue;
                 }
-                first_hole.get_or_insert(slot.seq);
+                if !hole_seen {
+                    hole_seen = true;
+                    let sacked_beyond: u32 = bitmap.iter().map(|w| w.count_ones()).sum();
+                    telemetry::event(EventKind::SackHole, slot.seq as u32, sacked_beyond, 0);
+                }
                 slot.misses += 1;
                 if slot.misses >= DUP_SACK_THRESHOLD {
                     slot.misses = 0;
                     slot.fast_retx = true;
-                    resend.push(slot.seq);
-                }
-            }
-            if let Some(hole) = first_hole {
-                let sacked_beyond: u32 = bitmap.iter().map(|w| w.count_ones()).sum();
-                telemetry::event(EventKind::SackHole, hole as u32, sacked_beyond, 0);
-            }
-            if !resend.is_empty() {
-                let front_seq = self.in_flight.front().map(|s| s.seq).unwrap_or(0);
-                for seq in resend {
-                    let slot = &self.in_flight[(seq - front_seq) as usize];
                     self.stats.frames_sent += 1;
                     self.stats.retransmissions += 1;
                     self.stats.fast_retransmits += 1;

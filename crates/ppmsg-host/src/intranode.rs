@@ -20,6 +20,7 @@ use ppmsg_core::{
     Action, CompletionMailbox, CompletionQueue, EndpointConfig, EndpointStats, ProcessId,
     ProtocolConfig, RawTransport, RecvBuf, RecvOp, Result, SendOp, Tag, TruncationPolicy,
 };
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -43,6 +44,53 @@ impl Member {
     }
 }
 
+/// What one interaction with the fabric drains into: the engine batch and
+/// the routing pass's queue of `(src, dst, packet)` hops.  Both are empty
+/// between interactions; only their capacity is kept.
+#[derive(Default)]
+struct Scratch {
+    batch: EngineBatch,
+    work: VecDeque<(ProcessId, ProcessId, Packet)>,
+}
+
+/// Scratches a thread keeps between interactions: one in the common case,
+/// more only while wakers re-enter the fabric (see [`Scratch::with`]).
+const SCRATCH_POOL_CAP: usize = 4;
+
+thread_local! {
+    /// This thread's idle scratches.  A pool, not a single slot: `publish`
+    /// runs wakers, and a waker may post on this very thread while the
+    /// outer interaction still has its scratch checked out.
+    static SCRATCH_POOL: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Scratch {
+    /// Runs `f` with a scratch checked out of this thread's pool (a fresh
+    /// one on a miss, or during thread teardown) and returns it afterwards,
+    /// so a steady post → route → publish loop never allocates.  The pool
+    /// is not borrowed while `f` runs: re-entrant calls check out their own.
+    fn with<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+        let mut scratch = SCRATCH_POOL
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        let result = f(&mut scratch);
+        debug_assert!(
+            scratch.work.is_empty()
+                && scratch.batch.actions.is_empty()
+                && scratch.batch.comps.is_empty()
+        );
+        let _ = SCRATCH_POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < SCRATCH_POOL_CAP {
+                pool.push(scratch);
+            }
+        });
+        result
+    }
+}
+
 /// The shared state of one intranode fabric (one simulated "SMP node" worth
 /// of processes living in this OS process).
 struct Fabric {
@@ -51,6 +99,8 @@ struct Fabric {
 
 impl Fabric {
     fn member(&self, id: ProcessId) -> Option<Arc<Member>> {
+        #[cfg(test)]
+        tests::MEMBER_LOOKUPS.with(|n| n.set(n.get() + 1));
         self.members.lock().get(&id.as_u64()).cloned()
     }
 
@@ -81,24 +131,37 @@ impl Fabric {
         }
     }
 
-    /// Routes packets between members until no more traffic is generated.
-    /// This is the "kernel agent": it may run on any thread that produced
-    /// traffic (the paper runs it on the least-loaded processor; here the OS
-    /// scheduler decides).  One batch is reused across every hop, so routing
-    /// a message exchange performs no per-packet allocation — and each hop
+    /// Routes the packets queued in `scratch.work` between members until no
+    /// more traffic is generated.  This is the "kernel agent": it may run on
+    /// any thread that produced traffic (the paper runs it on the
+    /// least-loaded processor; here the OS scheduler decides).  Each hop
     /// locks only the shard owning the packet's source, so routers carrying
-    /// different peers' traffic into one busy endpoint run concurrently.
-    fn route(&self, mut work: VecDeque<(ProcessId, ProcessId, Packet)>) {
-        // One clock read stamps every event this routing pass emits.
-        ppmsg_core::telemetry::clock::hold();
-        let mut batch = EngineBatch::new();
+    /// different peers' traffic into one busy endpoint run concurrently —
+    /// and none of them meets on the fabric-wide members lock: engines only
+    /// ever answer the process that addressed them, so a pass bounces
+    /// between `origin` (whose member the caller already holds) and one
+    /// other party, looked up once and remembered while the destination
+    /// does not change.
+    fn route(&self, origin: &Member, scratch: &mut Scratch) {
+        let Scratch { batch, work } = scratch;
+        let origin_id = origin.engine.id();
+        let mut other: Option<(ProcessId, Option<Arc<Member>>)> = None;
         while let Some((src, dst, packet)) = work.pop_front() {
-            let Some(member) = self.member(dst) else {
-                continue;
+            let member = if dst == origin_id {
+                origin
+            } else {
+                if other.as_ref().map(|(id, _)| *id) != Some(dst) {
+                    other = Some((dst, self.member(dst)));
+                }
+                // A packet for a process that never joined is dropped.
+                let Some((_, Some(member))) = &other else {
+                    continue;
+                };
+                member
             };
-            member.engine.handle_packet(src, packet, &mut batch);
-            member.publish(&mut batch);
-            Self::queue_actions(dst, &mut batch.actions, &mut work);
+            member.engine.handle_packet(src, packet, batch);
+            member.publish(batch);
+            Self::queue_actions(dst, &mut batch.actions, work);
         }
     }
 }
@@ -202,13 +265,23 @@ impl HostEndpoint {
         self.member.engine.shard_count()
     }
 
-    /// Publishes a drained interaction's completions through the mailbox
-    /// and routes its traffic through the fabric.
-    fn finish(&self, batch: &mut EngineBatch) {
-        self.member.publish(batch);
-        let mut work = VecDeque::new();
-        Fabric::queue_actions(self.id(), &mut batch.actions, &mut work);
-        self.fabric.route(work);
+    /// Runs one interaction with this endpoint's engine and settles it:
+    /// publishes the completions it produced through the mailbox and routes
+    /// its traffic through the fabric — or returns at once when it produced
+    /// none (a receive posted before its message, a cancellation).
+    fn interact<R>(&self, f: impl FnOnce(&ShardedEngine, &mut EngineBatch) -> R) -> R {
+        // Latch one clock read for every event the interaction emits,
+        // routing included.
+        ppmsg_core::telemetry::clock::hold();
+        Scratch::with(|scratch| {
+            let result = f(&self.member.engine, &mut scratch.batch);
+            self.member.publish(&mut scratch.batch);
+            Fabric::queue_actions(self.id(), &mut scratch.batch.actions, &mut scratch.work);
+            if !scratch.work.is_empty() {
+                self.fabric.route(&self.member, scratch);
+            }
+            result
+        })
     }
 
     /// Posts a send of `data` to `peer`, returning its operation handle.
@@ -218,12 +291,7 @@ impl HostEndpoint {
     /// immediately.
     pub fn post_send(&self, peer: ProcessId, tag: Tag, data: impl Into<Bytes>) -> Result<SendOp> {
         let data = data.into();
-        // Latch one clock read for every event this interaction emits.
-        ppmsg_core::telemetry::clock::hold();
-        let mut batch = EngineBatch::new();
-        let result = self.member.engine.post_send(peer, tag, data, &mut batch);
-        self.finish(&mut batch);
-        result
+        self.interact(|engine, batch| engine.post_send(peer, tag, data, batch))
     }
 
     /// Posts a vectored send: `segments` arrive as one concatenated message
@@ -235,14 +303,7 @@ impl HostEndpoint {
         tag: Tag,
         segments: &[Bytes],
     ) -> Result<SendOp> {
-        ppmsg_core::telemetry::clock::hold();
-        let mut batch = EngineBatch::new();
-        let result = self
-            .member
-            .engine
-            .post_send_vectored(peer, tag, segments, &mut batch);
-        self.finish(&mut batch);
-        result
+        self.interact(|engine, batch| engine.post_send_vectored(peer, tag, segments, batch))
     }
 
     /// Posts an engine-buffered receive.  `src` / `tag` may be the
@@ -257,14 +318,7 @@ impl HostEndpoint {
         capacity: usize,
         policy: TruncationPolicy,
     ) -> Result<RecvOp> {
-        ppmsg_core::telemetry::clock::hold();
-        let mut batch = EngineBatch::new();
-        let result = self
-            .member
-            .engine
-            .post_recv_with(src, tag, capacity, policy, &mut batch);
-        self.finish(&mut batch);
-        result
+        self.interact(|engine, batch| engine.post_recv_with(src, tag, capacity, policy, batch))
     }
 
     /// Posts a receive that reassembles directly into the caller-owned
@@ -276,32 +330,19 @@ impl HostEndpoint {
         buf: RecvBuf,
         policy: TruncationPolicy,
     ) -> Result<RecvOp> {
-        ppmsg_core::telemetry::clock::hold();
-        let mut batch = EngineBatch::new();
-        let result = self
-            .member
-            .engine
-            .post_recv_into(src, tag, buf, policy, &mut batch);
-        self.finish(&mut batch);
-        result
+        self.interact(|engine, batch| engine.post_recv_into(src, tag, buf, policy, batch))
     }
 
     /// Cancels a still-unmatched receive; see
     /// [`Endpoint::cancel`](ppmsg_core::Endpoint::cancel).
     pub fn cancel(&self, op: RecvOp) -> bool {
-        let mut batch = EngineBatch::new();
-        let result = self.member.engine.cancel_recv(op, &mut batch);
-        self.finish(&mut batch);
-        result
+        self.interact(|engine, batch| engine.cancel_recv(op, batch))
     }
 
     /// Cancels a posted send whose remainder has not been pulled yet; see
     /// [`Endpoint::cancel_send`](ppmsg_core::Endpoint::cancel_send).
     pub fn cancel_send(&self, op: SendOp) -> bool {
-        let mut batch = EngineBatch::new();
-        let result = self.member.engine.cancel_send(op, &mut batch);
-        self.finish(&mut batch);
-        result
+        self.interact(|engine, batch| engine.cancel_send(op, batch))
     }
 
     /// Protocol statistics of this endpoint, merged over its shards and
@@ -376,6 +417,12 @@ mod tests {
     use std::time::Duration;
 
     const T: Duration = Duration::from_secs(5);
+
+    thread_local! {
+        /// Times this thread took the fabric-wide members lock to resolve a
+        /// destination (bumped by [`Fabric::member`]).
+        pub(super) static MEMBER_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn payload(len: usize) -> Bytes {
         Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
@@ -561,6 +608,98 @@ mod tests {
         let done = wait(&b, OpId::Recv(op), T).unwrap();
         assert_eq!(done.status, Status::Cancelled);
         assert!(!b.cancel(op), "stale handle must not cancel again");
+    }
+
+    #[test]
+    fn routing_pass_resolves_the_other_party_once() {
+        // A late-receiver 64 KiB transfer: the send's pass is one hop
+        // (push), the receive's pass is three (pull request, pulled data in
+        // one shared-memory packet, nothing back).  However many hops, a
+        // two-endpoint pass takes the members lock at most once, and an
+        // interaction without traffic never does.
+        let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+        let a = cluster.add_endpoint(0);
+        let b = cluster.add_endpoint(1);
+        let lookups = || MEMBER_LOOKUPS.with(|n| n.replace(0));
+        let data = payload(64 * 1024);
+        lookups();
+
+        let early = b
+            .post_recv(a.id(), Tag(9), 64, TruncationPolicy::Error)
+            .unwrap();
+        assert_eq!(lookups(), 0, "a receive posted early produces no traffic");
+        assert!(b.cancel(early));
+        assert_eq!(lookups(), 0, "a cancellation produces no traffic");
+
+        let h = send(&a, b.id(), Tag(1), data.clone());
+        assert_eq!(lookups(), 1, "send pass");
+        let op = b
+            .post_recv_into(
+                a.id(),
+                Tag(1),
+                RecvBuf::with_capacity(64 * 1024),
+                TruncationPolicy::Error,
+            )
+            .unwrap();
+        assert_eq!(lookups(), 1, "late-receive pass: request out, data back");
+        let done = wait(&b, OpId::Recv(op), T).expect("recv_into completed");
+        assert_eq!(done.buf.unwrap().as_slice(), &data[..]);
+        assert!(wait(&a, OpId::Send(h), T).is_some());
+        let (sent, received) = (a.stats(), b.stats());
+        assert_eq!(sent.bytes_pulled, 64 * 1024 - 16);
+        assert_eq!(received.pull_requests_sent, 1);
+
+        // A packet for a process that never joined is dropped, not retried.
+        send(&a, ProcessId::new(0, 7), Tag(2), payload(8));
+        assert_eq!(lookups(), 1);
+    }
+
+    #[test]
+    fn waker_posting_from_publish_reenters_safely() {
+        // A waker registered on `b` runs inside `publish`, in the middle of
+        // `a`'s routing pass, and posts on the same thread: the nested
+        // interaction must get a scratch of its own and leave the outer
+        // pass's queue intact.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::task::{Wake, Waker};
+        struct Reply {
+            from: HostEndpoint,
+            to: ProcessId,
+            fired: AtomicBool,
+        }
+        impl Wake for Reply {
+            fn wake(self: Arc<Self>) {
+                if !self.fired.swap(true, Ordering::SeqCst) {
+                    send(&self.from, self.to, Tag(6), payload(4096));
+                }
+            }
+        }
+        let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+        let a = cluster.add_endpoint(0);
+        let b = cluster.add_endpoint(1);
+        let echo = a
+            .post_recv(b.id(), Tag(6), 4096, TruncationPolicy::Error)
+            .unwrap();
+        let op = b
+            .post_recv(a.id(), Tag(5), 4096, TruncationPolicy::Error)
+            .unwrap();
+        let reply = Arc::new(Reply {
+            from: b.clone(),
+            to: a.id(),
+            fired: AtomicBool::new(false),
+        });
+        let waker = Waker::from(reply.clone());
+        assert!(b.poll_completion(OpId::Recv(op), &waker).is_none());
+        send(&a, b.id(), Tag(5), payload(4096));
+        assert!(reply.fired.load(Ordering::SeqCst), "waker ran inline");
+        assert_eq!(
+            wait(&b, OpId::Recv(op), T).unwrap().data.unwrap(),
+            payload(4096)
+        );
+        assert_eq!(
+            wait(&a, OpId::Recv(echo), T).unwrap().data.unwrap(),
+            payload(4096)
+        );
     }
 
     #[test]

@@ -208,18 +208,29 @@ fn fnv_mix(hash: u64, byte: u8) -> u64 {
     (hash ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
 
-fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = fnv_mix(hash, b);
-    }
-    hash
+/// One FNV-1a step over a whole 64-bit word.  The rotate carries the high
+/// bits (which a multiply alone only ever pushes upward) back into the low
+/// ones; every step stays a bijection of the running hash, so two inputs
+/// that differ in one word can never collide.
+fn fnv_u64(hash: u64, value: u64) -> u64 {
+    (hash.rotate_left(5) ^ value).wrapping_mul(FNV_PRIME)
 }
 
-fn fnv_u64(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash = fnv_mix(hash, b);
+/// Hashes a wire encoding eight bytes per step — it runs over every
+/// dispatched frame, and one multiply per byte was most of a lossy 64 KiB
+/// operation's wall time.  The length goes in first (the word steps would
+/// otherwise not see where the buffer ends), then the little-endian words,
+/// then the tail bytes one at a time.
+fn fnv_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    let mut hash = fnv_u64(hash, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        hash = fnv_u64(
+            hash,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
     }
-    hash
+    words.remainder().iter().fold(hash, |h, &b| fnv_mix(h, b))
 }
 
 enum Ev {
@@ -1072,6 +1083,42 @@ mod tests {
             cluster.trace_hash()
         };
         assert_ne!(run(1), run(2), "seeds must actually steer the fault plane");
+    }
+
+    #[test]
+    fn payload_hash_covers_every_byte_and_the_length() {
+        // One max-payload frame: 187 whole words and a 4-byte tail.
+        let frame: Vec<u8> = (0..1500).map(|i| (i * 31 % 251) as u8).collect();
+        let clean = fnv_bytes(FNV_OFFSET, &frame);
+        assert_eq!(clean, fnv_bytes(FNV_OFFSET, &frame), "deterministic");
+        let mut flipped = frame.clone();
+        for i in 0..frame.len() {
+            flipped[i] ^= 0x01;
+            assert_ne!(
+                fnv_bytes(FNV_OFFSET, &flipped),
+                clean,
+                "low bit of byte {i}"
+            );
+            flipped[i] ^= 0x81;
+            assert_ne!(
+                fnv_bytes(FNV_OFFSET, &flipped),
+                clean,
+                "high bit of byte {i}"
+            );
+            flipped[i] ^= 0x80;
+        }
+        assert_eq!(flipped, frame);
+        // Zero padding is not invisible: the length is part of the hash.
+        let zeros = [0u8; 24];
+        let hashes: Vec<u64> = (0..=24)
+            .map(|n| fnv_bytes(FNV_OFFSET, &zeros[..n]))
+            .collect();
+        for (n, h) in hashes.iter().enumerate() {
+            assert!(
+                !hashes[..n].contains(h),
+                "length {n} collides with a shorter one"
+            );
+        }
     }
 
     #[test]

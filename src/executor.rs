@@ -331,7 +331,11 @@ impl PoolShared {
             Some(worker) => self.locals[worker].lock().push_back(task),
             None => self.injector.lock().push_back(task),
         }
-        let queued = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        // The task is visible before `pending` counts it, so a worker may
+        // already have taken it and counted it out: `pending` then reads
+        // `usize::MAX` for a moment (the atomics wrap; a worker that sees it
+        // merely looks for work once more) and the sum here wraps to 0.
+        let queued = self.pending.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
         #[cfg(not(ppmsg_check))]
         self.metrics.queue_depth.record(queued as u64);
         #[cfg(ppmsg_check)]

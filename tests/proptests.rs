@@ -9,12 +9,49 @@ use push_pull_messaging::core::wire::{Packet, PacketHeader, PacketKind, PushPart
 use push_pull_messaging::core::zbuf::pages_spanned;
 use push_pull_messaging::core::{
     BtpPolicy, BtpSplit, Error, MessageId, OptFlags, ProtocolMode, TruncationPolicy, ANY_SOURCE,
-    ANY_TAG,
+    ANY_TAG, INTRANODE_PULL_CHUNK,
 };
 // The explicit import shadows the prelude's transport front-end: these
 // properties drive the sans-I/O protocol engine by hand.
 use push_pull_messaging::core::Endpoint;
 use push_pull_messaging::prelude::*;
+
+/// Relays packets and frames between two bare engines until neither has
+/// anything left to say (timers are ignored: nothing is lost here), showing
+/// every protocol packet `sender` emits — bare or framed — to `tap`.
+fn relay(sender: &mut Endpoint, receiver: &mut Endpoint, tap: &mut dyn FnMut(&Packet)) {
+    let (a, b) = (sender.id(), receiver.id());
+    loop {
+        let mut progressed = false;
+        while let Some(action) = sender.poll_action() {
+            progressed = true;
+            match action {
+                Action::Transmit { packet, .. } => {
+                    tap(&packet);
+                    receiver.handle_packet(a, packet);
+                }
+                Action::TransmitFrame { frame, .. } => {
+                    if let Frame::Data { packet, .. } = &frame {
+                        tap(packet);
+                    }
+                    receiver.handle_frame(a, frame);
+                }
+                _ => {}
+            }
+        }
+        while let Some(action) = receiver.poll_action() {
+            progressed = true;
+            match action {
+                Action::Transmit { packet, .. } => sender.handle_packet(b, packet),
+                Action::TransmitFrame { frame, .. } => sender.handle_frame(b, frame),
+                _ => {}
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+}
 
 fn arb_mode() -> impl Strategy<Value = ProtocolMode> {
     prop_oneof![
@@ -285,28 +322,7 @@ proptest! {
             receiver.post_recv(a, Tag(1), len).unwrap();
         }
 
-        for _ in 0..10_000 {
-            let mut progressed = false;
-            while let Some(action) = sender.poll_action() {
-                progressed = true;
-                match action {
-                    Action::TransmitFrame { frame, .. } => receiver.handle_frame(a, frame),
-                    Action::Transmit { packet, .. } => receiver.handle_packet(a, packet),
-                    _ => {}
-                }
-            }
-            while let Some(action) = receiver.poll_action() {
-                progressed = true;
-                match action {
-                    Action::TransmitFrame { frame, .. } => sender.handle_frame(b, frame),
-                    Action::Transmit { packet, .. } => sender.handle_packet(b, packet),
-                    _ => {}
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
+        relay(&mut sender, &mut receiver, &mut |_| {});
         let mut delivered = None;
         while let Some(c) = receiver.poll_completion() {
             if let (OpId::Recv(_), Status::Ok) = (&c.op, &c.status) {
@@ -314,6 +330,91 @@ proptest! {
             }
         }
         prop_assert_eq!(delivered.expect("message delivered"), data);
+    }
+
+    /// The intranode pull phase moves the remainder in 64 KiB shared-memory
+    /// packets; the same endpoints forced through the ARQ layer
+    /// (`reliable_intranode = false`) still fragment it at `max_payload`.
+    /// The receiver must not be able to tell the difference: for any
+    /// length (well past 64 KiB), receive capacity, truncation policy,
+    /// engine- or caller-owned buffer, and posting order, both paths
+    /// complete the receive with the same status, length and bytes.
+    #[test]
+    fn shared_memory_pull_delivers_what_the_fragmented_pull_does(
+        len in prop_oneof![0usize..5_000, 64_000usize..67_000, 67_000usize..200_000],
+        capacity_pct in prop_oneof![Just(100usize), 0usize..100, 100usize..130],
+        truncate in any::<bool>(),
+        caller_buffer in any::<bool>(),
+        recv_first in any::<bool>(),
+        seed in any::<u8>(),
+    ) {
+        let capacity: usize = len * capacity_pct / 100usize;
+        let policy = if truncate { TruncationPolicy::Truncate } else { TruncationPolicy::Error };
+        let data = Bytes::from((0..len).map(|i| (i as u8).wrapping_add(seed)).collect::<Vec<u8>>());
+        // One run: the receiver's completion as (status, len, bytes), and
+        // the payload sizes of the PullData packets the sender emitted.
+        let run = |shared_memory: bool| {
+            let mut cfg = ProtocolConfig::paper_intranode();
+            cfg.reliable_intranode = shared_memory;
+            let (a, b) = (ProcessId::new(0, 0), ProcessId::new(0, 1));
+            let mut sender = Endpoint::new(a, cfg.clone());
+            let mut receiver = Endpoint::new(b, cfg);
+            let post_recv = |receiver: &mut Endpoint| {
+                if caller_buffer {
+                    receiver.post_recv_into(a, Tag(1), RecvBuf::with_capacity(capacity), policy)
+                } else {
+                    receiver.post_recv_with(a, Tag(1), capacity, policy)
+                }
+                .unwrap()
+            };
+            let op = if recv_first {
+                let op = post_recv(&mut receiver);
+                sender.post_send(b, Tag(1), data.clone()).unwrap();
+                op
+            } else {
+                sender.post_send(b, Tag(1), data.clone()).unwrap();
+                post_recv(&mut receiver)
+            };
+            let mut pulled = Vec::new();
+            relay(&mut sender, &mut receiver, &mut |packet| {
+                if packet.header.kind == PacketKind::PullData {
+                    pulled.push(packet.payload.len());
+                }
+            });
+            let mut outcome = None;
+            while let Some(c) = receiver.poll_completion() {
+                if c.op == OpId::Recv(op) {
+                    let bytes = match (&c.data, &c.buf) {
+                        (Some(data), _) => data.to_vec(),
+                        (None, Some(buf)) => buf.as_slice().to_vec(),
+                        (None, None) => Vec::new(),
+                    };
+                    outcome = Some((c.status.clone(), c.len, bytes));
+                }
+            }
+            (outcome.expect("receive completed"), pulled)
+        };
+
+        let (shared, shared_pulled) = run(true);
+        let (fragmented, fragmented_pulled) = run(false);
+        prop_assert_eq!(&shared, &fragmented);
+        let (status, delivered_len, bytes) = shared;
+        if capacity >= len {
+            prop_assert_eq!(status, Status::Ok);
+            prop_assert_eq!(delivered_len, len);
+        } else if truncate {
+            prop_assert_eq!(status, Status::Truncated { message_len: len });
+            prop_assert_eq!(delivered_len, capacity);
+        } else {
+            prop_assert_eq!(status, Status::Error(Error::ReceiveTooSmall { posted: capacity, incoming: len }));
+        }
+        prop_assert_eq!(&bytes[..], &data[..delivered_len]);
+        // Same bytes pulled either way, in ceil(n / 64 KiB) packets against
+        // ceil(n / max_payload).
+        let remainder: usize = shared_pulled.iter().sum();
+        prop_assert_eq!(remainder, fragmented_pulled.iter().sum::<usize>());
+        prop_assert_eq!(shared_pulled.len(), remainder.div_ceil(INTRANODE_PULL_CHUNK));
+        prop_assert_eq!(fragmented_pulled.len(), remainder.div_ceil(1460));
     }
 }
 
@@ -633,28 +734,7 @@ proptest! {
         };
 
         // Relay until quiet.
-        for _ in 0..10_000 {
-            let mut progressed = false;
-            while let Some(action) = sender.poll_action() {
-                progressed = true;
-                match action {
-                    Action::TransmitFrame { frame, .. } => receiver.handle_frame(a, frame),
-                    Action::Transmit { packet, .. } => receiver.handle_packet(a, packet),
-                    _ => {}
-                }
-            }
-            while let Some(action) = receiver.poll_action() {
-                progressed = true;
-                match action {
-                    Action::TransmitFrame { frame, .. } => sender.handle_frame(b, frame),
-                    Action::Transmit { packet, .. } => sender.handle_packet(b, packet),
-                    _ => {}
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
+        relay(&mut sender, &mut receiver, &mut |_| {});
         let mut delivered: Vec<(RecvOp, Bytes)> = Vec::new();
         while let Some(c) = receiver.poll_completion() {
             if let OpId::Recv(op) = c.op {

@@ -354,6 +354,113 @@ fn assert_small_vectored_send_zero_alloc(label: &str) {
     assert_eq!(engine_allocs, 0, "{label}: steady_allocs grew");
 }
 
+/// The production intranode backend, end to end: two `HostEndpoint`s on one
+/// `HostCluster` fabric driven by one thread through the front-end, as the
+/// standing benchmark drives them.  Posting, the fabric's routing passes
+/// (thread-pooled batch and hop queue, no per-hop member lookup), mailbox
+/// publication and claiming must all run allocation-free once warm, for
+/// both a 64 B pre-posted round trip and a 64 KiB late-receiver transfer
+/// (one shared-memory `PullData` packet) acknowledged with 64 B — every
+/// receive into a recycled caller buffer.
+fn assert_host_cluster_loops_zero_alloc(label: &str) {
+    type Host = FrontEnd<HostEndpoint>;
+    const SMALL: usize = 64;
+    const BULK: usize = 64 * 1024;
+
+    fn claim(ep: &Host, op: OpId) -> Completion {
+        let done = ep
+            .take_completion(op)
+            .expect("published before the post returned");
+        assert!(matches!(done.status, Status::Ok));
+        done
+    }
+
+    /// `from` sends `data` to `to`, which receives it into `buf` — posted
+    /// before the send (`late == false`) or after it — and hands it back.
+    fn transfer(
+        from: &Host,
+        to: &Host,
+        tag: Tag,
+        data: &Bytes,
+        buf: RecvBuf,
+        late: bool,
+    ) -> RecvBuf {
+        let post_recv = |buf| {
+            to.post_recv_into(from.local_id(), tag, buf, TruncationPolicy::Error)
+                .unwrap()
+        };
+        let (send, recv) = if late {
+            let send = from.post_send(to.local_id(), tag, data.clone()).unwrap();
+            (send, post_recv(buf))
+        } else {
+            let recv = post_recv(buf);
+            (
+                from.post_send(to.local_id(), tag, data.clone()).unwrap(),
+                recv,
+            )
+        };
+        let buf = claim(to, OpId::Recv(recv))
+            .buf
+            .expect("caller buffer handed back");
+        assert_eq!(buf.as_slice(), &data[..]);
+        claim(from, OpId::Send(send));
+        buf
+    }
+
+    let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+    let a = FrontEnd::new(cluster.add_endpoint(0));
+    let b = FrontEnd::new(cluster.add_endpoint(1));
+    let small = Bytes::from(vec![0x3Cu8; SMALL]);
+    let bulk = Bytes::from((0..BULK).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let mut bufs = Some((
+        RecvBuf::with_capacity(SMALL),
+        RecvBuf::with_capacity(SMALL),
+        RecvBuf::with_capacity(BULK),
+    ));
+    let mut round = || {
+        let (request, reply, transfer_buf) = bufs.take().expect("buffers in flight");
+        // 64 B request/reply, receives pre-posted.
+        let request = transfer(&a, &b, Tag(1), &small, request, false);
+        let reply = transfer(&b, &a, Tag(2), &small, reply, false);
+        // 64 KiB sent before its receive is posted, then a 64 B ack.
+        let transfer_buf = transfer(&a, &b, Tag(3), &bulk, transfer_buf, true);
+        let reply = transfer(&b, &a, Tag(4), &small, reply, false);
+        bufs = Some((request, reply, transfer_buf));
+    };
+
+    // Warm-up crosses the completion queues' order-deque compaction
+    // threshold, as in the blocking-wait loop below.
+    for _ in 0..200 {
+        round();
+    }
+    let stats = || {
+        let mut stats = a.stats();
+        stats.merge(&b.stats());
+        stats
+    };
+    let before = stats();
+    let heap_before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..1000 {
+        round();
+    }
+    let heap_allocs = ALLOCS.load(Ordering::Relaxed) - heap_before;
+    let after = stats();
+    assert_eq!(
+        heap_allocs, 0,
+        "{label}: 1000 rounds hit the real allocator {heap_allocs} times"
+    );
+    assert_eq!(
+        after.steady_allocs, before.steady_allocs,
+        "{label}: EndpointStats::steady_allocs grew"
+    );
+    assert_eq!(
+        after.pull_requests_served - before.pull_requests_served,
+        4000,
+        "{label}: every transfer must use the pull path"
+    );
+    assert_eq!(after.completions_evicted, 0, "{label}: completions evicted");
+}
+
 /// The blocking front-end `wait` loop: with the thread-local parker cache,
 /// a post + `Endpoint::wait` cycle performs no heap allocation (the old
 /// code paid one `Arc` per `wait` call for its parking waker).
@@ -618,6 +725,8 @@ fn steady_state_loops_perform_zero_heap_allocations() {
     assert_async_pingpong_zero_alloc("async loopback pingpong");
     // Fully-eager vectored sends chunk off the borrowed slice — no Arc pin.
     assert_small_vectored_send_zero_alloc("intranode small vectored send");
+    // The production intranode fabric: pooled batches, lock-free routing.
+    assert_host_cluster_loops_zero_alloc("host cluster intranode fabric");
     // Blocking waits reuse the thread-local parker — no Arc per call.
     assert_blocking_wait_zero_alloc("loopback blocking wait");
     // Collective broadcast/all_reduce/barrier rounds on a 4-rank group.
