@@ -922,10 +922,15 @@ impl CompletionQueue {
         let completion = self.take_slot(op)?;
         drop(self.wakers.take_waker(op));
         self.live -= 1;
-        // Taking leaves a stale entry in `order`; compact once stale entries
-        // outnumber live ones so the deque stays proportional to the live
-        // set (amortized O(1) per take).
-        if self.order.len() > 64 && self.order.len() >= 2 * self.live {
+        // Taking leaves a stale entry in `order`.  With nothing left to
+        // claim every entry is stale: forget them all at once (the entries
+        // are `Copy`, so this is O(1)) — the uncontended claim never
+        // compacts.  Otherwise compact once stale entries outnumber live
+        // ones so the deque stays proportional to the live set (amortized
+        // O(1) per take).
+        if self.live == 0 {
+            self.order.clear();
+        } else if self.order.len() > 64 && self.order.len() >= 2 * self.live {
             let mut retained = std::mem::take(&mut self.order);
             retained.retain(|&op| self.is_live(op));
             self.order = retained;
@@ -1068,9 +1073,9 @@ impl CompletionQueue {
     }
 
     /// Number of waiter registrations currently held — real wakers and bare
-    /// eviction-exemption interests alike.  [`CompletionMailbox`] reads this
-    /// after every queue access to decide whether a producer must take the
-    /// publication lock at all.
+    /// eviction-exemption interests alike.  A multi-producer
+    /// [`CompletionMailbox`] reads this after every queue access to decide
+    /// whether a producer must take the publication lock at all.
     pub fn waiters(&self) -> usize {
         self.wakers.len()
     }
@@ -1095,8 +1100,10 @@ pub fn wake_all<F: FnOnce(Vec<Waker>)>(mut woken: Vec<Waker>, recycle: F) {
 
 /// Fault-injection knobs for the model-check harnesses.  Each knob
 /// deliberately reintroduces a historical bug class into the mailbox
-/// handshake; the `--cfg ppmsg_check` CI job asserts the model checker
-/// catches every one within the preemption bound (teeth for the teeth).
+/// handshake, which only multi-producer mailboxes run (harnesses must use
+/// two producers or more); the `--cfg ppmsg_check` CI job asserts the model
+/// checker catches every one within the preemption bound (teeth for the
+/// teeth).
 /// Compiled only under `--cfg ppmsg_check`; knobs are plain process-global
 /// flags, so harnesses that flip them must serialize.
 #[cfg(ppmsg_check)]
@@ -1129,13 +1136,20 @@ pub mod sabotage {
     }
 }
 
-/// A [`CompletionQueue`] behind an MPSC publication path.
+/// A [`CompletionQueue`] behind a publication path shaped by its producer
+/// count.
 ///
-/// With a sharded engine, several shards (and with the intranode fabric,
-/// several *routing threads*) complete operations concurrently, but the old
-/// publication scheme made every one of them serialize on the single `done`
-/// lock even when nobody was waiting.  The mailbox splits publication in
-/// two:
+/// **One producer** (every endpoint except a multi-shard
+/// [`ShardedEngine`](crate::ShardedEngine)) means one locked queue: a
+/// [`CompletionMailbox::post`] publishes straight into the queue under the
+/// `inner` lock and wakes the readied waiters after unlocking, and
+/// [`CompletionMailbox::with`] is that lock plus the caller's closure.  A
+/// single producer never contends with another producer, so there is nothing
+/// for an inbox to absorb and no handshake to run.
+///
+/// **Several producers** (the shards of a sharded engine, each completing
+/// operations from its own routing threads) would otherwise serialize on
+/// that one lock even when nobody waits, so publication is split in two:
 ///
 /// * each producer appends its batch to its **own inbox** (one tiny lock per
 ///   producer, never contended across producers), and
@@ -1143,54 +1157,64 @@ pub mod sabotage {
 ///   could be parked — publication with no registered waiter is a pure
 ///   inbox append, the fire-and-forget fast path.
 ///
-/// Consumers go through [`CompletionMailbox::with`], which sweeps pending
-/// inboxes into the queue *before* running the caller's closure (a poll can
-/// never miss an already-posted completion) and re-checks for a
-/// post-registration race after releasing the lock.  The race is closed the
-/// classic two-flag way: a producer advertises `pending` before loading
-/// `waiters`, a consumer advertises `waiters` before re-loading `pending`
-/// (all `SeqCst`), so in every interleaving at least one side observes the
-/// other and performs the sweep-and-wake.
+/// There, [`CompletionMailbox::with`] sweeps pending inboxes into the queue
+/// *before* running the caller's closure (a poll can never miss an
+/// already-posted completion) and re-checks for a post-registration race
+/// after releasing the lock.  The race is closed the classic two-flag way: a
+/// producer advertises `pending` before loading `waiters`, a consumer
+/// advertises `waiters` before re-loading `pending` (all `SeqCst`), so in
+/// every interleaving at least one side observes the other and performs the
+/// sweep-and-wake.
 #[derive(Debug)]
 pub struct CompletionMailbox {
-    /// One inbox per producer (engine shard / reactor loop); a producer
-    /// only ever locks its own.
+    /// The inbox hand-off of a multi-producer mailbox; `None` for one
+    /// producer, which publishes into the queue directly.
+    handoff: Option<Handoff>,
+    inner: Mutex<MailboxInner>,
+}
+
+/// Inboxes and the two-flag handshake of a multi-producer mailbox.
+#[derive(Debug)]
+struct Handoff {
+    /// One inbox per producer (engine shard); a producer only ever locks its
+    /// own.
     inboxes: Box<[Mutex<Vec<Completion>>]>,
     /// Completions posted to inboxes and not yet swept into the queue.
     pending: AtomicUsize,
     /// Snapshot of the queue's waiter-registration count, maintained by
     /// every queue access; producers skip the queue lock while it is zero.
     waiters: AtomicUsize,
-    inner: Mutex<MailboxInner>,
 }
 
 #[derive(Debug)]
 struct MailboxInner {
     queue: CompletionQueue,
-    /// Sweep staging: inbox batches are moved here (one memcpy per batch)
-    /// and published in a single call, so one sweep produces one wake batch
-    /// and the scratch capacities stabilise — the steady path allocates
-    /// nothing.
+    /// Sweep staging of a multi-producer mailbox: inbox batches are moved
+    /// here (one memcpy per batch) and published in a single call, so one
+    /// sweep produces one wake batch and the scratch capacities stabilise —
+    /// the steady path allocates nothing.
     scratch: Vec<Completion>,
 }
 
 impl CompletionMailbox {
-    /// A mailbox with `producers` inboxes in front of a fresh queue.
+    /// A mailbox for `producers` producers in front of a fresh queue.
     pub fn new(producers: usize) -> Self {
         Self::with_queue(producers, CompletionQueue::new())
     }
 
-    /// A mailbox with `producers` inboxes in front of `queue` (carrying the
-    /// backend's retention configuration).
+    /// A mailbox for `producers` producers in front of `queue` (carrying the
+    /// backend's retention configuration).  Only `producers > 1` builds
+    /// inboxes.
     pub fn with_queue(producers: usize, queue: CompletionQueue) -> Self {
-        let inboxes = (0..producers.max(1))
-            .map(|_| Mutex::new("core.mailbox.inbox", Vec::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        CompletionMailbox {
-            inboxes,
+        let handoff = (producers > 1).then(|| Handoff {
+            inboxes: (0..producers)
+                .map(|_| Mutex::new("core.mailbox.inbox", Vec::new()))
+                .collect(),
             pending: AtomicUsize::new(0),
             waiters: AtomicUsize::new(0),
+        });
+        CompletionMailbox {
+            handoff,
             inner: Mutex::new(
                 "core.mailbox.inner",
                 MailboxInner {
@@ -1201,15 +1225,19 @@ impl CompletionMailbox {
         }
     }
 
-    /// Number of producer inboxes.
+    /// Number of producers this mailbox serves.
     pub fn producers(&self) -> usize {
-        self.inboxes.len()
+        self.handoff.as_ref().map_or(1, |h| h.inboxes.len())
     }
 
     /// Publishes a batch from `producer`, draining `comps` (its capacity is
-    /// kept for reuse).  The batch lands in the producer's own inbox; the
-    /// shared queue is locked — and waiters woken — only when the waiter
-    /// snapshot says somebody may be parked.
+    /// kept for reuse), and wakes every waiter it readies after the queue
+    /// lock is released.
+    ///
+    /// With one producer the batch goes straight into the queue.  With
+    /// several it lands in the producer's own inbox, and the shared queue is
+    /// locked — and waiters woken — only when the waiter snapshot says
+    /// somebody may be parked.
     ///
     /// # Panics
     ///
@@ -1218,24 +1246,92 @@ impl CompletionMailbox {
         if comps.is_empty() {
             return;
         }
-        // Publication must never run under an engine/shard/mailbox lock:
-        // `deliver` below takes the queue lock and invokes wakers.  Locks
-        // outside `core.` (an executor's task mutex, say) are fine — the
-        // deliver path never acquires them.
+        // Publication must never run under an engine/shard/mailbox lock: it
+        // takes the queue lock and invokes wakers.  Locks outside `core.`
+        // (an executor's task mutex, say) are fine — the publication path
+        // never acquires them.
         if cfg!(debug_assertions) {
             ppmsg_check::lockdep::assert_no_locks_held_in("CompletionMailbox::post", "core.");
         }
+        let Some(handoff) = &self.handoff else {
+            assert_eq!(
+                producer, 0,
+                "producer out of range for a one-producer mailbox"
+            );
+            let woken = self.inner.lock().queue.publish(comps);
+            self.wake(woken);
+            return;
+        };
         let batch = comps.len();
         {
-            let mut inbox = self.inboxes[producer].lock();
+            let mut inbox = handoff.inboxes[producer].lock();
             inbox.extend(comps.drain(..));
         }
-        self.advertise(batch);
-        if self.load_waiters() > 0 {
-            self.deliver();
+        handoff.advertise(batch);
+        if handoff.load_waiters() > 0 {
+            self.deliver(handoff);
         }
     }
 
+    /// Runs `f` on the queue.  This is the backend's `with_completions`
+    /// primitive: polls, claims, waker registrations, and drains all come
+    /// through here.
+    ///
+    /// With one producer this is the queue lock plus `f`.  With several,
+    /// every pending inbox is swept in first, and afterwards the waiter
+    /// snapshot is refreshed and the producer race closed.
+    pub fn with(&self, f: &mut dyn FnMut(&mut CompletionQueue)) {
+        let Some(handoff) = &self.handoff else {
+            f(&mut self.inner.lock().queue);
+            return;
+        };
+        let woken = {
+            let mut inner = self.inner.lock();
+            let woken = handoff.sweep(&mut inner);
+            f(&mut inner.queue);
+            handoff.store_waiters(inner.queue.waiters());
+            woken
+        };
+        self.wake(woken);
+        // `f` may have registered a waker after our sweep while a producer
+        // posted and loaded a stale zero `waiters` snapshot: re-check.
+        #[cfg(ppmsg_check)]
+        if sabotage::skip_recheck() {
+            return;
+        }
+        if handoff.load_pending() > 0 && handoff.load_waiters() > 0 {
+            self.deliver(handoff);
+        }
+    }
+
+    /// Locks the queue, sweeps the inboxes, and wakes whoever the sweep
+    /// readied.
+    fn deliver(&self, handoff: &Handoff) {
+        let woken = {
+            let mut inner = self.inner.lock();
+            let woken = handoff.sweep(&mut inner);
+            handoff.store_waiters(inner.queue.waiters());
+            woken
+        };
+        self.wake(woken);
+    }
+
+    /// Invokes a publication's wake batch; the caller has released the
+    /// queue lock.
+    fn wake(&self, woken: Vec<Waker>) {
+        wake_all(woken, |drained| {
+            self.inner.lock().queue.recycle_woken(drained)
+        });
+    }
+
+    /// Completions evicted past the retention cap (see
+    /// [`CompletionQueue::evicted`]).
+    pub fn evicted(&self) -> u64 {
+        self.inner.lock().queue.evicted()
+    }
+}
+
+impl Handoff {
     /// Advertise the batch *before* loading `waiters` (see the type-level
     /// race argument): a consumer registering concurrently either is seen by
     /// [`Self::load_waiters`], or sees our `pending` in its post-unlock
@@ -1275,46 +1371,6 @@ impl CompletionMailbox {
         self.waiters.store(n, Ordering::SeqCst);
     }
 
-    /// Runs `f` on the queue with every pending inbox swept in first, then
-    /// refreshes the waiter snapshot and closes the producer race.  This is
-    /// the backend's `with_completions` primitive: polls, claims, waker
-    /// registrations, and drains all come through here.
-    pub fn with(&self, f: &mut dyn FnMut(&mut CompletionQueue)) {
-        let woken = {
-            let mut inner = self.inner.lock();
-            let woken = self.sweep(&mut inner);
-            f(&mut inner.queue);
-            self.store_waiters(inner.queue.waiters());
-            woken
-        };
-        wake_all(woken, |drained| {
-            self.inner.lock().queue.recycle_woken(drained)
-        });
-        // `f` may have registered a waker after our sweep while a producer
-        // posted and loaded a stale zero `waiters` snapshot: re-check.
-        #[cfg(ppmsg_check)]
-        if sabotage::skip_recheck() {
-            return;
-        }
-        if self.load_pending() > 0 && self.load_waiters() > 0 {
-            self.deliver();
-        }
-    }
-
-    /// Locks the queue, sweeps the inboxes, and wakes whoever the sweep
-    /// readied.
-    fn deliver(&self) {
-        let woken = {
-            let mut inner = self.inner.lock();
-            let woken = self.sweep(&mut inner);
-            self.store_waiters(inner.queue.waiters());
-            woken
-        };
-        wake_all(woken, |drained| {
-            self.inner.lock().queue.recycle_woken(drained)
-        });
-    }
-
     /// Moves every inbox's contents into the queue (one publication batch),
     /// returning the wakers to invoke once the queue lock is released.
     /// Caller holds the `inner` lock.
@@ -1333,12 +1389,6 @@ impl CompletionMailbox {
         let woken = inner.queue.publish(&mut scratch);
         inner.scratch = scratch;
         woken
-    }
-
-    /// Completions evicted past the retention cap (see
-    /// [`CompletionQueue::evicted`]).
-    pub fn evicted(&self) -> u64 {
-        self.inner.lock().queue.evicted()
     }
 }
 

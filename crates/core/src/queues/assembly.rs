@@ -39,13 +39,25 @@ pub(crate) fn merge_interval(cov: &mut Vec<(usize, usize)>, start: usize, end: u
 /// Duplicate and overlapping fragments are tolerated — only bytes not already
 /// covered count towards completion — which keeps the engine robust if a
 /// retransmitted packet slips past the go-back-N receiver.
+///
+/// A pooled assembly recycles its deliveries: it keeps a handle on the last
+/// message it handed out, and once the caller has dropped every clone of it
+/// the next delivery reuses that allocation instead of making a new one.
 #[derive(Debug, Clone)]
 pub struct Assembly {
     data: Vec<u8>,
     /// Sorted, disjoint list of covered `[start, end)` intervals.
     covered: Vec<(usize, usize)>,
     received: usize,
+    /// The last message delivered by [`Assembly::take_bytes`], kept for
+    /// reuse; only ever written to once no other handle shares it.
+    delivered: Bytes,
 }
+
+/// Largest message whose storage an assembly keeps for reuse: bigger ones
+/// leave with the caller, so a pooled shell never pins more than twice
+/// this (its reassembly buffer plus its last delivery).
+const RECYCLE_MAX: usize = 64 * 1024;
 
 impl Assembly {
     /// Creates an assembly buffer for a message of `total_len` bytes.
@@ -54,6 +66,7 @@ impl Assembly {
             data: vec![0u8; total_len],
             covered: Vec::new(),
             received: 0,
+            delivered: Bytes::new(),
         }
     }
 
@@ -132,13 +145,27 @@ impl Assembly {
         Bytes::from(self.data)
     }
 
-    /// Extracts the message bytes, leaving an empty shell that can be
-    /// returned to an assembly pool (the interval list keeps its capacity;
-    /// the data storage necessarily moves out with the message).
+    /// Extracts the message bytes, leaving a shell that can be returned to
+    /// an assembly pool (the interval list keeps its capacity).
+    ///
+    /// When the caller has dropped the previous delivery, the message moves
+    /// into that delivery's allocation and the shell keeps the previous
+    /// storage, so a steady receive loop allocates nothing.  A delivery
+    /// still held elsewhere is never written to: the message then leaves
+    /// in its own storage, as it does when larger than 64 KiB.
     pub fn take_bytes(&mut self) -> Bytes {
         self.covered.clear();
         self.received = 0;
-        Bytes::from(std::mem::take(&mut self.data))
+        let message = std::mem::take(&mut self.data);
+        if message.capacity() > RECYCLE_MAX {
+            self.delivered = Bytes::new();
+            return Bytes::from(message);
+        }
+        match self.delivered.try_replace_unique(message) {
+            Ok(previous) => self.data = previous,
+            Err(message) => self.delivered = Bytes::from(message),
+        }
+        self.delivered.clone()
     }
 
     /// A read-only view of the (possibly still incomplete) message bytes.
@@ -190,6 +217,52 @@ mod tests {
         assert_eq!(a.write_at(5, &[9u8; 100]), 5);
         assert!(!a.is_complete());
         assert_eq!(a.write_at(20, &[9u8; 10]), 0);
+    }
+
+    #[test]
+    fn unshared_delivery_storage_is_reused() {
+        let mut a = Assembly::new(64);
+        let deliver = |a: &mut Assembly, byte: u8| {
+            a.write_at(0, &[byte; 64]);
+            let bytes = a.take_bytes();
+            assert_eq!(&bytes[..], &[byte; 64][..]);
+            bytes.as_ptr()
+        };
+        // The first two deliveries each allocate: one for the message, one
+        // to give the shell reassembly storage of its own again.
+        deliver(&mut a, 1);
+        assert!(a.reset(64));
+        let second = deliver(&mut a, 2);
+        // From then on the two buffers alternate, with no allocation.
+        assert!(!a.reset(64));
+        let third = deliver(&mut a, 3);
+        assert!(!a.reset(64));
+        assert_eq!(deliver(&mut a, 4), second);
+        assert!(!a.reset(64));
+        assert_eq!(deliver(&mut a, 5), third);
+    }
+
+    #[test]
+    fn held_delivery_is_never_overwritten() {
+        let mut a = Assembly::new(64);
+        a.write_at(0, &[7u8; 64]);
+        let held = a.take_bytes();
+        for round in 0..10u8 {
+            a.reset(64);
+            a.write_at(0, &[round; 64]);
+            let next = a.take_bytes();
+            assert_eq!(&next[..], &[round; 64][..]);
+        }
+        assert_eq!(&held[..], &[7u8; 64][..]);
+    }
+
+    #[test]
+    fn large_deliveries_are_not_kept() {
+        let mut a = Assembly::new(RECYCLE_MAX + 1);
+        a.write_at(0, &vec![3u8; RECYCLE_MAX + 1]);
+        let big = a.take_bytes();
+        assert_eq!(big.len(), RECYCLE_MAX + 1);
+        assert!(a.delivered.is_empty());
     }
 
     #[test]

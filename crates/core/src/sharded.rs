@@ -89,7 +89,7 @@ fn shard_class(index: usize) -> &'static str {
 /// Scratch buffers one sharded-engine interaction drains into: the actions
 /// the backend must relay and the completions to publish (op handles already
 /// globalized), plus the shard the interaction ran on — the producer index
-/// for an MPSC publication path
+/// for a multi-producer publication path
 /// ([`CompletionMailbox::post`](crate::ops::CompletionMailbox::post)).
 ///
 /// Reuse one batch across calls to keep the steady path allocation-free.

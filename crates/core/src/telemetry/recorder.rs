@@ -309,10 +309,19 @@ mod tests {
 
     // Recorder state is process-global and tests share threads, so scope
     // every assertion to events this test just recorded via reset() +
-    // distinctive arguments.
+    // distinctive arguments, and run these tests one at a time: another
+    // one's reset() or disabled window would hide this one's events.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn records_and_snapshots_in_order() {
+        let _serial = serial();
         reset();
         clock::set_virtual_us(7);
         event(EventKind::FrameTx, 1, 0, 99);
@@ -335,6 +344,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
+        let _serial = serial();
         reset();
         for i in 0..(DEFAULT_RING_CAPACITY as u64 + 10) {
             event(EventKind::TimerArm, 0, 0, i | (1 << 60));
@@ -353,6 +363,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_drops_events() {
+        let _serial = serial();
         reset();
         let was = set_enabled(false);
         event(EventKind::ChannelFail, 0, 0, 0xDEAD);
@@ -366,6 +377,7 @@ mod tests {
 
     #[test]
     fn reset_hides_prior_events() {
+        let _serial = serial();
         event(EventKind::SackHole, 5, 5, 0xBEEF);
         reset();
         let snap = snapshot();

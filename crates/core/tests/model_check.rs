@@ -4,11 +4,15 @@
 //! posting completions against consumers registering wakers and parking,
 //! under the checker's TSO store-buffer memory model.
 //!
-//! The sabotage variants re-run the same protocols with a knob flipped in
-//! `ops::sabotage` — a `SeqCst -> Relaxed` downgrade of the two-flag
-//! handshake, and a dropped consumer re-check — and assert the checker
-//! reports the resulting lost wake-up as a deadlock.  If one of these stops
-//! failing, the checker has lost its teeth.
+//! A one-producer mailbox is one locked queue (no inboxes, no flags); the
+//! one-producer harnesses check that direct path, the multi-producer ones
+//! the inbox hand-off and its two-flag handshake.
+//!
+//! The sabotage variants re-run the multi-producer protocol with a knob
+//! flipped in `ops::sabotage` — a `SeqCst -> Relaxed` downgrade of the
+//! two-flag handshake, and a dropped consumer re-check — and assert the
+//! checker reports the resulting lost wake-up as a deadlock.  If one of
+//! these stops failing, the checker has lost its teeth.
 #![cfg(ppmsg_check)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,9 +89,10 @@ impl std::task::Wake for Park {
     }
 }
 
-/// One producer posting `slots` completions, one consumer claiming them via
-/// `take_or_register` + park.  The protocol must complete under every
-/// interleaving — a lost wake-up surfaces as a model deadlock.
+/// `producers` producers each posting `per_producer` completions, one
+/// consumer claiming them via `take_or_register` + park.  The protocol must
+/// complete under every interleaving — a lost wake-up surfaces as a model
+/// deadlock.
 fn mailbox_round_trip(producers: usize, per_producer: u32) -> impl Fn() + Send + Sync + 'static {
     move || {
         let mb = Arc::new(CompletionMailbox::new(producers));
@@ -180,6 +185,15 @@ fn mailbox_two_producers_exhaustive() {
 }
 
 #[test]
+fn mailbox_two_producers_reregistration_exhaustive() {
+    // The handshake with re-registration: two completions per inbox, so
+    // claims and re-registrations interleave with second posts on both.
+    let _knobs = hold_knobs();
+    let stats = Model::new().check(mailbox_round_trip(2, 2));
+    assert!(stats.executions > 1);
+}
+
+#[test]
 fn mailbox_survives_spurious_wakeups() {
     // The consumer's park loop must tolerate wake-ups with no completion
     // behind them; the checker injects one at every opportunity.
@@ -200,7 +214,7 @@ fn sabotage_weak_flags_caught() {
     // skips the other, and the consumer parks forever.
     let _knobs = hold_knobs();
     sabotage::WEAK_FLAGS.store(true, std::sync::atomic::Ordering::SeqCst);
-    expect_deadlock(Model::new(), mailbox_round_trip(1, 1));
+    expect_deadlock(Model::new(), mailbox_round_trip(2, 1));
 }
 
 #[test]
@@ -210,5 +224,5 @@ fn sabotage_skip_recheck_caught() {
     // nobody delivers, the consumer parks forever.
     let _knobs = hold_knobs();
     sabotage::SKIP_RECHECK.store(true, std::sync::atomic::Ordering::SeqCst);
-    expect_deadlock(Model::new(), mailbox_round_trip(1, 1));
+    expect_deadlock(Model::new(), mailbox_round_trip(2, 1));
 }

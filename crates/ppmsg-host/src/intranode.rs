@@ -2,13 +2,13 @@
 //! through a shared in-memory "kernel agent", driving the same protocol
 //! engine the simulator uses.
 //!
-//! Since PR 8 every member hosts a peer-sharded engine
-//! ([`ShardedEngine`]) behind per-shard locks and publishes completions
-//! through an MPSC [`CompletionMailbox`]: threads exchanging traffic with
-//! *different* peers of one endpoint run under different shard locks, and a
-//! publication with no parked waiter never touches the shared completion
-//! lock at all.  The default is one shard per endpoint (identical locking
-//! to the pre-sharding fabric); opt in with
+//! Every member hosts a peer-sharded engine ([`ShardedEngine`]) behind
+//! per-shard locks and publishes completions through a
+//! [`CompletionMailbox`] with one producer per shard: threads exchanging
+//! traffic with *different* peers of one endpoint run under different shard
+//! locks, and a multi-shard publication with no parked waiter never touches
+//! the shared completion lock at all.  The default is one shard per
+//! endpoint, whose mailbox is one locked queue; opt in to more with
 //! [`EndpointConfig::shards`](ppmsg_core::EndpointConfig::shards) or
 //! [`HostCluster::add_endpoint_sharded`].
 
@@ -28,7 +28,7 @@ struct Member {
     /// The peer-sharded protocol engine: traffic for independent peers
     /// progresses under independent shard locks.
     engine: ShardedEngine,
-    /// Completions published per shard through the MPSC mailbox; claims,
+    /// Completions published per shard through the mailbox; claims,
     /// polls, and waker registrations (async futures and the facade's
     /// blocking `wait` alike) go through its queue.
     done: CompletionMailbox,
@@ -94,14 +94,78 @@ impl Scratch {
 /// The shared state of one intranode fabric (one simulated "SMP node" worth
 /// of processes living in this OS process).
 struct Fabric {
-    members: Mutex<HashMap<u64, Arc<Member>>>,
+    members: Mutex<Members>,
+}
+
+/// The fabric's membership table.
+#[derive(Default)]
+struct Members {
+    joined: HashMap<u64, Arc<Member>>,
+    /// Packets addressed to a rank of this node that has not joined yet, in
+    /// arrival order.  As in the paper's shared-memory model, where a
+    /// process's queues exist from node start, they are held for the rank
+    /// and handed to it when it joins ([`Fabric::join`]).
+    parked: HashMap<u64, Vec<(ProcessId, Packet)>>,
 }
 
 impl Fabric {
-    fn member(&self, id: ProcessId) -> Option<Arc<Member>> {
+    /// Resolves `dst` for a packet from `src`, handing the packet back with
+    /// the member — or, when `dst` has not joined, parking the packet for it
+    /// under the same lock (so a concurrent join cannot slip between the
+    /// miss and the park) and returning `None`.
+    fn member_or_park(
+        &self,
+        src: ProcessId,
+        dst: ProcessId,
+        packet: Packet,
+    ) -> Option<(Arc<Member>, Packet)> {
         #[cfg(test)]
         tests::MEMBER_LOOKUPS.with(|n| n.set(n.get() + 1));
-        self.members.lock().get(&id.as_u64()).cloned()
+        let mut members = self.members.lock();
+        if let Some(member) = members.joined.get(&dst.as_u64()) {
+            return Some((member.clone(), packet));
+        }
+        members
+            .parked
+            .entry(dst.as_u64())
+            .or_default()
+            .push((src, packet));
+        None
+    }
+
+    /// Registers `member`, first delivering — in arrival order — every
+    /// packet parked for its rank.  The member becomes visible to other
+    /// routers only once nothing is parked for it, so no packet overtakes
+    /// an earlier parked one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rank already joined.
+    fn join(&self, member: &Arc<Member>) {
+        let id = member.engine.id();
+        loop {
+            let parked = {
+                let mut members = self.members.lock();
+                assert!(
+                    !members.joined.contains_key(&id.as_u64()),
+                    "endpoint {id} added twice"
+                );
+                match members.parked.remove(&id.as_u64()) {
+                    Some(parked) => parked,
+                    None => {
+                        members.joined.insert(id.as_u64(), member.clone());
+                        return;
+                    }
+                }
+            };
+            // Routing runs outside the members lock: replies it produces
+            // look their destination up.
+            Scratch::with(|scratch| {
+                let hops = parked.into_iter().map(|(src, packet)| (src, id, packet));
+                scratch.work.extend(hops);
+                self.route(member, scratch);
+            });
+        }
     }
 
     /// Queues a member's outgoing packets; cost-model hints
@@ -141,23 +205,24 @@ impl Fabric {
     /// ever answer the process that addressed them, so a pass bounces
     /// between `origin` (whose member the caller already holds) and one
     /// other party, looked up once and remembered while the destination
-    /// does not change.
+    /// does not change.  A packet for a rank that has not joined yet is
+    /// parked for it ([`Fabric::member_or_park`]).
     fn route(&self, origin: &Member, scratch: &mut Scratch) {
         let Scratch { batch, work } = scratch;
         let origin_id = origin.engine.id();
-        let mut other: Option<(ProcessId, Option<Arc<Member>>)> = None;
-        while let Some((src, dst, packet)) = work.pop_front() {
+        let mut other: Option<Arc<Member>> = None;
+        while let Some((src, dst, mut packet)) = work.pop_front() {
             let member = if dst == origin_id {
                 origin
             } else {
-                if other.as_ref().map(|(id, _)| *id) != Some(dst) {
-                    other = Some((dst, self.member(dst)));
+                if other.as_ref().map(|m| m.engine.id()) != Some(dst) {
+                    let Some((member, hop)) = self.member_or_park(src, dst, packet) else {
+                        continue;
+                    };
+                    other = Some(member);
+                    packet = hop;
                 }
-                // A packet for a process that never joined is dropped.
-                let Some((_, Some(member))) = &other else {
-                    continue;
-                };
-                member
+                other.as_deref().expect("resolved above")
             };
             member.engine.handle_packet(src, packet, batch);
             member.publish(batch);
@@ -180,7 +245,7 @@ impl HostCluster {
     pub fn new(node: u32, protocol: ProtocolConfig) -> Self {
         HostCluster {
             fabric: Arc::new(Fabric {
-                members: Mutex::new("host.fabric.members", HashMap::new()),
+                members: Mutex::new("host.fabric.members", Members::default()),
             }),
             node,
             protocol,
@@ -188,6 +253,8 @@ impl HostCluster {
     }
 
     /// Adds a process to the fabric and returns its endpoint handle.
+    /// Packets sent to this rank before it joined are delivered to it, in
+    /// order, before this returns.
     ///
     /// # Panics
     ///
@@ -234,12 +301,7 @@ impl HostCluster {
             engine: ShardedEngine::new(id, protocol, shards),
             done: CompletionMailbox::with_queue(shards, done),
         });
-        let previous = self
-            .fabric
-            .members
-            .lock()
-            .insert(id.as_u64(), member.clone());
-        assert!(previous.is_none(), "endpoint {id} added twice");
+        self.fabric.join(&member);
         HostEndpoint {
             fabric: self.fabric.clone(),
             member,
@@ -649,9 +711,60 @@ mod tests {
         assert_eq!(sent.bytes_pulled, 64 * 1024 - 16);
         assert_eq!(received.pull_requests_sent, 1);
 
-        // A packet for a process that never joined is dropped, not retried.
-        send(&a, ProcessId::new(0, 7), Tag(2), payload(8));
+        // A packet for a process that has not joined yet is parked on the
+        // miss path, then delivered once the rank joins.
+        let early = send(&a, ProcessId::new(0, 7), Tag(2), payload(8));
         assert_eq!(lookups(), 1);
+        let late = cluster.add_endpoint(7);
+        assert_eq!(recv(&late, a.id(), Tag(2), 8, T), Some(payload(8)));
+        assert!(wait(&a, OpId::Send(early), T).is_some());
+    }
+
+    #[test]
+    fn message_posted_before_the_peer_joins_is_delivered() {
+        // Several messages, each larger than the eager part, so delivery
+        // after the join also runs the pull round trip; order is kept.
+        let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+        let a = cluster.add_endpoint(0);
+        let peer = ProcessId::new(0, 1);
+        let sends: Vec<_> = (0..3)
+            .map(|i| send(&a, peer, Tag(4), payload(4096 + i)))
+            .collect();
+        assert_eq!(cluster.fabric.members.lock().parked.len(), 1);
+
+        let b = cluster.add_endpoint(1);
+        assert!(cluster.fabric.members.lock().parked.is_empty());
+        for i in 0..3 {
+            assert_eq!(recv(&b, a.id(), Tag(4), 8192, T), Some(payload(4096 + i)));
+        }
+        for h in sends {
+            assert!(wait(&a, OpId::Send(h), T).is_some());
+        }
+    }
+
+    #[test]
+    fn held_delivery_survives_later_receives() {
+        // Engine-buffered deliveries recycle storage the caller dropped; one
+        // the caller still holds must never be written by a later delivery.
+        let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+        let a = cluster.add_endpoint(0);
+        let b = cluster.add_endpoint(1);
+        let message = |i: u8| Bytes::from(vec![i; 64]);
+        let held = recv_after_send(&a, &b, message(0));
+        for i in 1..=10 {
+            assert_eq!(recv_after_send(&a, &b, message(i)), message(i));
+        }
+        assert_eq!(held, message(0));
+
+        fn recv_after_send(a: &HostEndpoint, b: &HostEndpoint, data: Bytes) -> Bytes {
+            let op = b
+                .post_recv(a.id(), Tag(3), 64, TruncationPolicy::Error)
+                .unwrap();
+            send(a, b.id(), Tag(3), data);
+            let done = wait(b, OpId::Recv(op), T).expect("recv completed");
+            assert!(b.stats().pull_requests_sent > 0, "multi-fragment delivery");
+            done.data.unwrap()
+        }
     }
 
     #[test]

@@ -428,9 +428,9 @@ struct EpShared {
     socket: UdpSocket,
     peers: Mutex<PeerTable>,
     /// Completions drained from the engine, op-indexed so claims are O(1),
-    /// with the wakers of tasks awaiting them.  Publishing goes through the
-    /// mailbox's MPSC inbox, so the reactor thread and user-thread postings
-    /// never block behind a consumer holding the queue open.
+    /// with the wakers of tasks awaiting them.  A one-producer mailbox: the
+    /// reactor thread and user-thread postings publish straight into the
+    /// queue under its lock.
     done: CompletionMailbox,
     /// Reusable frame-encode buffers.
     codec: Mutex<PacketBufPool>,
@@ -1031,10 +1031,10 @@ impl ReactorEndpoint {
 
 /// Same contract as the UDP backend: posting runs the engine on the
 /// calling thread (the reactor thread publishes concurrent completions),
-/// and completion access goes through the mailbox's queue, which sweeps
-/// pending inbox batches before running the caller's closure, so
-/// check-and-register through [`RawTransport::with_completions`] can never
-/// miss a concurrently published completion.
+/// and completion access goes through the mailbox's queue under the same
+/// lock publication takes, so check-and-register through
+/// [`RawTransport::with_completions`] can never miss a concurrently
+/// published completion.
 impl RawTransport for ReactorEndpoint {
     fn local_id(&self) -> ProcessId {
         self.id()

@@ -130,9 +130,8 @@ fn assert_steady_state_zero_alloc(cfg: ProtocolConfig, intranode: bool, size: us
     // `size` must fit inside the path's BTP so each message travels as
     // exactly one fully-eager packet and is delivered as a zero-copy slice
     // of it.  (A pulled remainder delivered through `post_recv` is
-    // reassembled into a freshly owned `Bytes`, which necessarily allocates
-    // once per delivered message — see the `post_recv_into` loop below for
-    // the allocation-free pull path.)
+    // reassembled in pooled storage recycled once the caller drops the
+    // previous delivery — see the host-cluster loops below.)
     let data = Bytes::from(vec![0xEEu8; size]);
 
     // Warm-up: size every arena, index table, pool, and queue.
@@ -461,6 +460,63 @@ fn assert_host_cluster_loops_zero_alloc(label: &str) {
     assert_eq!(after.completions_evicted, 0, "{label}: completions evicted");
 }
 
+/// The engine-buffered receive path on the production intranode fabric: a
+/// 64 B pre-posted round trip through `post_recv` (no caller buffer), whose
+/// remainder past the 16 B BTP is pulled and reassembled by the engine.  The
+/// caller drops each delivered `Bytes` before the next round, so every
+/// delivery reuses the storage — reference count included — of the one
+/// before it.
+fn assert_host_cluster_engine_buffered_zero_alloc(label: &str) {
+    type Host = FrontEnd<HostEndpoint>;
+    const SMALL: usize = 64;
+
+    fn transfer(from: &Host, to: &Host, tag: Tag, data: &Bytes) {
+        let recv = to
+            .post_recv(from.local_id(), tag, SMALL, TruncationPolicy::Error)
+            .unwrap();
+        let send = from.post_send(to.local_id(), tag, data.clone()).unwrap();
+        let done = to
+            .take_completion(OpId::Recv(recv))
+            .expect("published before the post returned");
+        assert!(matches!(done.status, Status::Ok));
+        assert_eq!(done.data.as_deref(), Some(&data[..]));
+        assert!(from.take_completion(OpId::Send(send)).is_some());
+    }
+
+    let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+    let a = FrontEnd::new(cluster.add_endpoint(0));
+    let b = FrontEnd::new(cluster.add_endpoint(1));
+    let request = Bytes::from(vec![0x3Cu8; SMALL]);
+    let reply = Bytes::from(vec![0xC3u8; SMALL]);
+    let round = || {
+        transfer(&a, &b, Tag(1), &request);
+        transfer(&b, &a, Tag(2), &reply);
+    };
+    for _ in 0..200 {
+        round();
+    }
+    let steady = || a.stats().steady_allocs + b.stats().steady_allocs;
+    let (engine_before, heap_before) = (steady(), ALLOCS.load(Ordering::Relaxed));
+    for _ in 0..1000 {
+        round();
+    }
+    let heap_allocs = ALLOCS.load(Ordering::Relaxed) - heap_before;
+    assert_eq!(
+        heap_allocs, 0,
+        "{label}: 1000 rounds hit the real allocator {heap_allocs} times"
+    );
+    assert_eq!(
+        steady(),
+        engine_before,
+        "{label}: EndpointStats::steady_allocs grew"
+    );
+    assert_eq!(
+        a.stats().pull_requests_sent,
+        1200,
+        "{label}: pulled replies"
+    );
+}
+
 /// The blocking front-end `wait` loop: with the thread-local parker cache,
 /// a post + `Endpoint::wait` cycle performs no heap allocation (the old
 /// code paid one `Arc` per `wait` call for its parking waker).
@@ -727,6 +783,8 @@ fn steady_state_loops_perform_zero_heap_allocations() {
     assert_small_vectored_send_zero_alloc("intranode small vectored send");
     // The production intranode fabric: pooled batches, lock-free routing.
     assert_host_cluster_loops_zero_alloc("host cluster intranode fabric");
+    // Engine-buffered deliveries recycle the storage the caller dropped.
+    assert_host_cluster_engine_buffered_zero_alloc("host cluster engine-buffered recv");
     // Blocking waits reuse the thread-local parker — no Arc per call.
     assert_blocking_wait_zero_alloc("loopback blocking wait");
     // Collective broadcast/all_reduce/barrier rounds on a 4-rank group.
