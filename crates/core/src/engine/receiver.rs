@@ -10,6 +10,7 @@ use super::{
 use crate::error::{Error, Result};
 use crate::ops::{Completion, OpId, RecvBuf, RecvOp, Status, TruncationPolicy};
 use crate::queues::{PostedReceive, UnexpectedKey};
+use crate::telemetry::{self, drop_reason, EventKind};
 use crate::types::{MessageId, ProcessId, Tag};
 use crate::wire::{Packet, PacketHeader, PacketKind};
 use bytes::Bytes;
@@ -299,7 +300,31 @@ impl Endpoint {
 
     /// Dispatches one protocol packet (already made reliable by the caller or
     /// by the go-back-N layer).
+    ///
+    /// A header that contradicts itself is dropped as
+    /// [`DropReason::Malformed`] before it reaches any message state: an
+    /// eager prefix longer than the message, or a payload ending past it,
+    /// could never complete a message, so accepting one would wedge the
+    /// receive it matched.
     pub(crate) fn process_packet(&mut self, src: ProcessId, packet: Packet) {
+        let h = &packet.header;
+        if h.eager_len > h.total_len
+            || u64::from(h.offset) + u64::from(h.payload_len) > u64::from(h.total_len)
+        {
+            let bytes = packet.payload.len();
+            telemetry::event(
+                EventKind::PacketDropped,
+                drop_reason::MALFORMED,
+                bytes as u32,
+                src.as_u64(),
+            );
+            self.push_action(Action::PacketDropped {
+                peer: src,
+                bytes,
+                reason: DropReason::Malformed,
+            });
+            return;
+        }
         match packet.header.kind {
             PacketKind::Push(_) | PacketKind::Control => self.handle_push(src, packet),
             PacketKind::PullData => self.handle_pull_data(src, packet),

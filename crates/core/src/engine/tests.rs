@@ -1222,3 +1222,80 @@ fn intranode_vectored_pull_splits_at_segment_boundaries() {
     assert_eq!(lens, [chunk, 70_000 - 6 - chunk, 3, chunk, 66_000 - chunk]);
     assert_zero_copy_tiling(&pulled, &segments, 16, chunk);
 }
+
+/// Headers that contradict themselves are dropped at the packet entry as
+/// `Malformed` — counted, recorded, and never allowed to touch the message
+/// they name — so the receive still completes once the real fragments land.
+#[test]
+fn malformed_fragments_are_dropped_and_the_receive_still_completes() {
+    // A named thread owns its own recorder ring, so the event count below
+    // sees this test's events only.
+    const THREAD: &str = "malformed-fragment-probe";
+    let (dropped, drop_actions) = std::thread::Builder::new()
+        .name(THREAD.into())
+        .spawn(|| {
+            let (mut s, mut r) = intranode_pair(ProtocolConfig::paper_intranode());
+            let data = payload(64);
+            r.post_recv(s.id(), Tag(9), 64).unwrap();
+            s.post_send(r.id(), Tag(9), data.clone()).unwrap();
+            let mut real = Vec::new();
+            while let Some(action) = s.poll_action() {
+                if let Action::Transmit { packet, .. } = action {
+                    real.push(packet);
+                }
+            }
+            let header = real[0].header;
+            let forged = |offset: u32, payload_len: u32, eager_len: u32| {
+                let header = crate::wire::PacketHeader {
+                    offset,
+                    payload_len,
+                    eager_len,
+                    ..header
+                };
+                crate::wire::Packet::new(header, Bytes::from(vec![0xEE; payload_len as usize]))
+                    .unwrap()
+            };
+            r.handle_packet(s.id(), forged(100, 8, header.eager_len));
+            r.handle_packet(s.id(), forged(u32::MAX, 1, header.eager_len));
+            r.handle_packet(s.id(), forged(0, 8, header.total_len + 1));
+            assert_eq!(r.stats().packets_dropped, 3);
+            assert!(completions(&mut r).is_empty(), "nothing real has arrived");
+
+            for packet in real {
+                r.handle_packet(s.id(), packet);
+            }
+            let (_, actions) = run_pair(&mut s, &mut r);
+            assert_eq!(recv_complete_data(&mut r), Some(data));
+            assert!(r.idle());
+            let drop_actions = actions
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::PacketDropped {
+                            reason: DropReason::Malformed,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            (r.stats().packets_dropped, drop_actions)
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(dropped, 3);
+    assert_eq!(drop_actions, 3);
+    #[cfg(feature = "telemetry")]
+    {
+        use crate::telemetry::{drop_reason, snapshot, EventKind};
+        let recorded = snapshot()
+            .rings
+            .iter()
+            .filter(|ring| ring.name == THREAD)
+            .flat_map(|ring| ring.events.iter())
+            .filter(|e| e.kind == EventKind::PacketDropped && e.a == drop_reason::MALFORMED)
+            .count();
+        assert_eq!(recorded, 3, "every malformed drop leaves a recorder event");
+    }
+}

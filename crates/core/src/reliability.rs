@@ -40,8 +40,9 @@ pub enum ReliabilityMode {
     /// per-frame bookkeeping; pathological under loss on high-BDP links.
     #[default]
     GoBackN,
-    /// SACK-bitmap acks with an out-of-order receive buffer: a timeout (or a
-    /// triple duplicate SACK) retransmits only the frames actually missing.
+    /// SACK-bitmap acks with an out-of-order receive buffer: only frames
+    /// actually missing are retransmitted — on a timeout (the oldest one), or
+    /// as soon as a SACK acknowledges a frame sent after them.
     SelectiveRepeat,
 }
 
@@ -103,9 +104,10 @@ pub struct GbnStats {
     /// Retransmissions triggered by an RTO expiry (a subset of
     /// `retransmissions`).
     pub rto_retransmits: u64,
-    /// Retransmissions triggered by duplicate-SACK fast recovery (a subset
-    /// of `retransmissions`; always 0 for go-back-N, which has no SACK
-    /// hole detection).
+    /// Retransmissions triggered by SACK evidence, without waiting for the
+    /// timeout: a SACK acknowledged a frame sent in a later transmit round
+    /// while this one stayed missing (a subset of `retransmissions`; always
+    /// 0 for go-back-N, which has no SACK hole detection).
     pub fast_retransmits: u64,
 }
 
@@ -512,11 +514,6 @@ impl GoBackN {
     }
 }
 
-/// How many duplicate SACKs (SACKs that acknowledge newer frames while a
-/// hole stays open) trigger a fast retransmission of the hole, without
-/// waiting for the retransmission timeout.  Mirrors TCP's dup-ack threshold.
-const DUP_SACK_THRESHOLD: u8 = 3;
-
 /// A sender-side in-flight frame of a selective-repeat channel.
 #[derive(Debug)]
 struct SrSlot {
@@ -525,13 +522,8 @@ struct SrSlot {
     /// Selectively acknowledged: held only until the cumulative point passes
     /// it, never retransmitted.
     acked: bool,
-    /// Duplicate-SACK count: SACKs that arrived acknowledging a later frame
-    /// while this one stayed unacknowledged.
-    misses: u8,
-    /// Fast-retransmitted once already; further duplicate SACKs are stale
-    /// evidence (generated before the retransmission landed) and must not
-    /// trigger another copy.  Cleared when an RTO retransmits the frame.
-    fast_retx: bool,
+    /// The channel's transmit round when this frame last went out.
+    round: u64,
 }
 
 /// A bidirectional selective-repeat channel to one peer.
@@ -541,9 +533,18 @@ struct SrSlot {
 ///
 /// - The receiver buffers out-of-order frames in a window-sized ring and
 ///   acknowledges with [`Frame::Sack`] (cumulative point + received bitmap).
+/// - Loss is inferred RACK-style ("sent-after", RFC 8985) without a clock.
+///   Every transmission is stamped with the channel's *round*, which
+///   advances on every inbound frame and every handled timeout, so two
+///   frames share a round unless the channel heard something between their
+///   sends.  Once a SACK newly covers a frame of round `r`, every still-
+///   unacknowledged frame of a round before `r` is lost and is resent at
+///   once, stamped with the current round.  A hole therefore goes out at
+///   most once per round trip, and frames reordered within one burst never
+///   trigger a resend.
 /// - A retransmission timeout resends only the **oldest unacknowledged**
-///   frame, not the window; holes revealed by the bitmap are fast-
-///   retransmitted after three duplicate SACKs.
+///   frame, not the window.  When its SACK arrives, every older-round hole
+///   goes out in that same call.
 /// - Like [`GoBackN`] it keeps a single generation-checked channel timer
 ///   (the sans-I/O engine has no clock, so per-frame deadlines collapse onto
 ///   the oldest-unacked frame, TCP-RTO style).
@@ -561,6 +562,11 @@ pub struct SelectiveRepeat {
     /// addresses any slot directly.
     in_flight: VecDeque<SrSlot>,
     pending: VecDeque<Packet>,
+    /// Transmit round: advances on every inbound frame and handled timeout.
+    round: u64,
+    /// Newest round of any frame a SACK has covered; unacknowledged frames
+    /// of older rounds are lost.
+    delivered_round: u64,
     timer_generation: u64,
     timer_armed: bool,
     retries: u32,
@@ -598,6 +604,8 @@ impl SelectiveRepeat {
             base: 0,
             in_flight: VecDeque::with_capacity(cfg.window),
             pending: VecDeque::with_capacity(cfg.window),
+            round: 0,
+            delivered_round: 0,
             timer_generation: 0,
             timer_armed: false,
             retries: 0,
@@ -623,6 +631,9 @@ impl SelectiveRepeat {
 
     /// Handles a frame arriving from the peer.
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<GbnEvent>) {
+        // Whatever this frame is, frames sent from here on went out after
+        // the channel heard from its peer.
+        self.round += 1;
         match frame {
             Frame::Data { seq, packet } => self.on_data(seq, packet, out),
             Frame::Sack {
@@ -709,21 +720,20 @@ impl SelectiveRepeat {
     ) {
         self.stats.acks_received += 1;
         let mut progress = false;
+        let mut delivered_round = self.delivered_round;
         if next_expected > self.base {
-            while self
-                .in_flight
-                .front()
-                .map(|s| s.seq < next_expected)
-                .unwrap_or(false)
-            {
+            while let Some(slot) = self.in_flight.front() {
+                if slot.seq >= next_expected {
+                    break;
+                }
+                delivered_round = delivered_round.max(slot.round);
                 self.in_flight.pop_front();
             }
             self.base = next_expected;
             progress = true;
         }
-        // Mark selectively acknowledged frames and find the newest one this
-        // SACK vouches for; every older unacked frame is a candidate hole.
-        let mut max_sacked: Option<u64> = None;
+        // Mark selectively acknowledged frames, noting the newest round a
+        // newly covered frame went out in.
         if let Some(front_seq) = self.in_flight.front().map(|s| s.seq) {
             for (word, &bitmap_word) in bitmap.iter().enumerate() {
                 let mut bits = bitmap_word;
@@ -739,8 +749,8 @@ impl SelectiveRepeat {
                         if !slot.acked {
                             slot.acked = true;
                             progress = true;
+                            delivered_round = delivered_round.max(slot.round);
                         }
-                        max_sacked = Some(max_sacked.map_or(seq, |m| m.max(seq)));
                     }
                 }
             }
@@ -748,16 +758,15 @@ impl SelectiveRepeat {
         if progress {
             self.retries = 0;
         }
-        // Fast retransmit: a hole older than a sacked frame accumulates one
-        // miss per SACK; at the threshold it is resent once and the count
-        // restarts (mirrors TCP dup-ack recovery).
-        if let Some(max_sacked) = max_sacked {
+        // Sent-after loss detection: a frame sent in a later round has
+        // arrived, so every unacked frame of an older round is lost.  A
+        // resend is stamped with the current round, so it becomes a
+        // candidate again only once something sent after it is delivered.
+        if delivered_round > self.delivered_round {
+            self.delivered_round = delivered_round;
             let mut hole_seen = false;
             for slot in self.in_flight.iter_mut() {
-                if slot.seq >= max_sacked {
-                    break;
-                }
-                if slot.acked || slot.fast_retx {
+                if slot.acked || slot.round >= delivered_round {
                     continue;
                 }
                 if !hole_seen {
@@ -765,19 +774,15 @@ impl SelectiveRepeat {
                     let sacked_beyond: u32 = bitmap.iter().map(|w| w.count_ones()).sum();
                     telemetry::event(EventKind::SackHole, slot.seq as u32, sacked_beyond, 0);
                 }
-                slot.misses += 1;
-                if slot.misses >= DUP_SACK_THRESHOLD {
-                    slot.misses = 0;
-                    slot.fast_retx = true;
-                    self.stats.frames_sent += 1;
-                    self.stats.retransmissions += 1;
-                    self.stats.fast_retransmits += 1;
-                    telemetry::event(EventKind::FrameRetransmit, slot.seq as u32, 1, 0);
-                    out.push(GbnEvent::Transmit(Frame::Data {
-                        seq: slot.seq,
-                        packet: slot.packet.clone(),
-                    }));
-                }
+                slot.round = self.round;
+                self.stats.frames_sent += 1;
+                self.stats.retransmissions += 1;
+                self.stats.fast_retransmits += 1;
+                telemetry::event(EventKind::FrameRetransmit, slot.seq as u32, 1, 0);
+                out.push(GbnEvent::Transmit(Frame::Data {
+                    seq: slot.seq,
+                    packet: slot.packet.clone(),
+                }));
             }
         }
         if progress {
@@ -807,12 +812,12 @@ impl SelectiveRepeat {
             out.push(GbnEvent::ChannelFailed);
             return;
         }
+        self.round += 1;
         // The front slot is always unacked: the bitmap cannot cover the
         // cumulative point itself, so an acked front would already have been
         // popped by a cumulative advance.
         let slot = self.in_flight.front_mut().expect("non-empty checked above");
-        slot.fast_retx = false;
-        slot.misses = 0;
+        slot.round = self.round;
         self.stats.frames_sent += 1;
         self.stats.retransmissions += 1;
         self.stats.rto_retransmits += 1;
@@ -857,8 +862,7 @@ impl SelectiveRepeat {
                 seq,
                 packet: packet.clone(),
                 acked: false,
-                misses: 0,
-                fast_retx: false,
+                round: self.round,
             });
             self.stats.frames_sent += 1;
             out.push(GbnEvent::Transmit(Frame::Data { seq, packet }));
@@ -1568,36 +1572,120 @@ mod tests {
         assert_eq!(sender.stats().retransmissions, 1);
     }
 
+    /// A SACK from a receiver holding exactly `held` (and nothing in order
+    /// beyond `next_expected`).
+    fn sack_of(next_expected: u64, held: &[u64]) -> Frame {
+        let mut bitmap = [0u64; MAX_SACK_WORDS];
+        for &seq in held {
+            let bit = (seq - next_expected - 1) as usize;
+            bitmap[bit / 64] |= 1 << (bit % 64);
+        }
+        Frame::Sack {
+            next_expected,
+            bitmap,
+        }
+    }
+
+    fn resent_seqs(events: &[GbnEvent]) -> Vec<u64> {
+        transmit_frames(events)
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Data { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn sr_dup_sacks_fast_retransmit_the_hole() {
+    fn sr_one_round_burst_sacked_out_of_order_is_never_resent() {
         let cfg = GbnConfig::default();
         let mut sender = SelectiveRepeat::new(cfg);
+        let mut receiver = SelectiveRepeat::new(cfg);
         let mut events = Vec::new();
-        for i in 0..5 {
+        for i in 0..8 {
             sender.send(pkt(i, 8), &mut events);
         }
-        // Frame 0 was lost; SACKs keep vouching for 1..=4.
-        let sack = Frame::Sack {
-            next_expected: 0,
-            bitmap: [0b1111, 0, 0, 0],
-        };
-        let mut out = Vec::new();
-        for _ in 0..(DUP_SACK_THRESHOLD - 1) {
-            sender.on_frame(sack.clone(), &mut out);
+        // The whole burst arrives shuffled: every SACK but the last shows
+        // holes below frames it vouches for.
+        let frames = transmit_frames(&events);
+        let mut acks = Vec::new();
+        for i in [3, 1, 6, 0, 7, 5, 2, 4] {
+            receiver.on_frame(frames[i].clone(), &mut acks);
         }
-        assert!(
-            transmit_frames(&out).is_empty(),
-            "below the dup-SACK threshold nothing is resent"
-        );
-        sender.on_frame(sack, &mut out);
-        let frames = transmit_frames(&out);
-        assert_eq!(frames.len(), 1);
-        assert!(matches!(frames[0], Frame::Data { seq: 0, .. }));
-        assert_eq!(sender.stats().retransmissions, 1);
-        // The cumulative ack for everything releases the channel.
-        let mut done = Vec::new();
-        sender.on_frame(Frame::Ack { next_expected: 5 }, &mut done);
+        let mut out = Vec::new();
+        for f in transmit_frames(&acks) {
+            sender.on_frame(f, &mut out);
+        }
+        assert!(resent_seqs(&out).is_empty(), "reordering is not loss");
+        assert_eq!(sender.stats().retransmissions, 0);
         assert!(sender.idle());
+    }
+
+    #[test]
+    fn sr_hole_resent_once_per_newer_round_delivered() {
+        let cfg = GbnConfig::default();
+        let mut sender = SelectiveRepeat::new(cfg);
+        let mut out = Vec::new();
+        sender.send(pkt(0, 8), &mut out);
+        sender.send(pkt(1, 8), &mut out);
+        out.clear();
+        // Frame 1 arrives, 0 does not: same round, so no evidence yet.
+        sender.on_frame(sack_of(0, &[1]), &mut out);
+        assert!(resent_seqs(&out).is_empty());
+        // Frame 2 goes out after the channel heard from its peer; once it is
+        // delivered, frame 0 (an older round) is lost.
+        sender.send(pkt(2, 8), &mut out);
+        out.clear();
+        sender.on_frame(sack_of(0, &[1, 2]), &mut out);
+        assert_eq!(resent_seqs(&out), vec![0]);
+        // Frame 3 goes out in the resend's round, so its delivery says
+        // nothing about the resend; nor does the same evidence again.
+        sender.send(pkt(3, 8), &mut out);
+        out.clear();
+        sender.on_frame(sack_of(0, &[1, 2, 3]), &mut out);
+        sender.on_frame(sack_of(0, &[1, 2, 3]), &mut out);
+        assert!(resent_seqs(&out).is_empty());
+        assert_eq!(sender.stats().retransmissions, 1);
+        // Frame 4 goes out in a newer round than the resend of 0; its
+        // delivery is evidence the resend was lost too.
+        sender.send(pkt(4, 8), &mut out);
+        out.clear();
+        sender.on_frame(sack_of(0, &[1, 2, 3, 4]), &mut out);
+        assert_eq!(resent_seqs(&out), vec![0]);
+        assert_eq!(sender.stats().retransmissions, 2);
+        assert_eq!(sender.stats().fast_retransmits, 2);
+        sender.on_frame(Frame::Ack { next_expected: 5 }, &mut out);
+        assert!(sender.idle());
+    }
+
+    #[test]
+    fn sr_sacked_rto_resend_releases_every_older_hole_at_once() {
+        let cfg = GbnConfig {
+            window: 8,
+            rto_us: 1000,
+            max_retries: 10,
+        };
+        let mut sender = SelectiveRepeat::new(cfg);
+        let mut events = Vec::new();
+        for i in 0..6 {
+            sender.send(pkt(i, 8), &mut events);
+        }
+        // Frames 2 and 4 of the one-round burst arrive; 0, 1, 3, 5 do not.
+        let mut out = Vec::new();
+        sender.on_frame(sack_of(0, &[2, 4]), &mut out);
+        assert!(resent_seqs(&out).is_empty(), "same round: no evidence");
+        let generation = last_timer_generation(&out).expect("re-armed on progress");
+        out.clear();
+        sender.on_timeout(generation, &mut out);
+        assert_eq!(resent_seqs(&out), vec![0], "the RTO resends the oldest");
+        // The resend of 0 is delivered: every remaining hole of the older
+        // round goes out in this one call.
+        out.clear();
+        sender.on_frame(sack_of(1, &[2, 4]), &mut out);
+        assert_eq!(resent_seqs(&out), vec![1, 3, 5]);
+        let stats = sender.stats();
+        assert_eq!(stats.rto_retransmits, 1);
+        assert_eq!(stats.fast_retransmits, 3);
     }
 
     #[test]

@@ -66,10 +66,13 @@ pub enum EventKind {
     /// `b` = shard index, `c` = hold time in nanoseconds (drawn as a
     /// duration span by the chrome exporter).
     EngineLock = 15,
+    /// The engine dropped an arriving packet. `a` = reason
+    /// ([`drop_reason`] codes), `b` = payload bytes, `c` = source peer id.
+    PacketDropped = 16,
 }
 
 /// Number of distinct [`EventKind`]s.
-pub const KIND_COUNT: usize = 16;
+pub const KIND_COUNT: usize = 17;
 
 /// `b`-argument codes for [`EventKind::FrameTx`] / [`EventKind::FrameRx`].
 pub mod frame_kind {
@@ -91,6 +94,13 @@ pub mod lock_ctx {
     pub const REACTOR_USER: u32 = 2;
     /// The reactor loop processing one receive batch.
     pub const REACTOR_BATCH: u32 = 3;
+}
+
+/// `a`-argument codes for [`EventKind::PacketDropped`].
+pub mod drop_reason {
+    /// The header contradicts itself: `eager_len > total_len`, or the
+    /// payload ends past `total_len`.
+    pub const MALFORMED: u32 = 0;
 }
 
 /// Bit set in op-slot arguments (`a` of [`EventKind::OpPosted`] /
@@ -117,6 +127,7 @@ impl EventKind {
             EventKind::ExecutorSteal => "executor_steal",
             EventKind::ExecutorPark => "executor_park",
             EventKind::EngineLock => "engine_lock",
+            EventKind::PacketDropped => "packet_dropped",
         }
     }
 
@@ -140,6 +151,7 @@ impl EventKind {
             13 => EventKind::ExecutorSteal,
             14 => EventKind::ExecutorPark,
             15 => EventKind::EngineLock,
+            16 => EventKind::PacketDropped,
             _ => return None,
         })
     }

@@ -45,7 +45,7 @@ pub mod export;
 pub mod metrics;
 pub mod recorder;
 
-pub use event::{frame_kind, lock_ctx, Event, EventKind, KIND_COUNT, OP_SEND_BIT};
+pub use event::{drop_reason, frame_kind, lock_ctx, Event, EventKind, KIND_COUNT, OP_SEND_BIT};
 pub use metrics::{
     bucket_bounds, bucket_of, Counter, HistogramSnapshot, LogHistogram, HIST_BUCKETS,
 };

@@ -11,7 +11,10 @@
 //! retransmission actually fires and loss is recoverable — the queue is
 //! drained to quiescence inside every post, fast-forwarding virtual time
 //! through retransmission timeouts, which keeps the synchronous loopback
-//! programming model intact.
+//! programming model intact.  Each channel's timer is one record, re-armed
+//! and cancelled in place: only a timer that is still armed when its
+//! deadline comes is dispatched, so quiescence arrives with the last frame,
+//! not one retransmission timeout after it.
 //!
 //! Reproducibility is the point: the same seed replays the same event
 //! sequence byte for byte ([`ChaosCluster::trace_hash`], and full
@@ -216,19 +219,34 @@ fn fnv_u64(hash: u64, value: u64) -> u64 {
     (hash.rotate_left(5) ^ value).wrapping_mul(FNV_PRIME)
 }
 
-/// Hashes a wire encoding eight bytes per step — it runs over every
-/// dispatched frame, and one multiply per byte was most of a lossy 64 KiB
-/// operation's wall time.  The length goes in first (the word steps would
-/// otherwise not see where the buffer ends), then the little-endian words,
-/// then the tail bytes one at a time.
+/// Hashes a wire encoding in four independent lanes — it runs over every
+/// dispatched frame, and one serial multiply chain per frame was most of a
+/// lossy 64 KiB operation's wall time.  The length goes in first (the word
+/// steps would otherwise not see where the buffer ends).  Each 32-byte block
+/// then feeds one little-endian word to each lane, the lanes fold into the
+/// hash in order, and the remaining words and tail bytes follow one at a
+/// time.  Every lane step and every fold step is a bijection of its input
+/// word, so a change to any one byte still changes the hash.
 fn fnv_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    let mut hash = fnv_u64(hash, bytes.len() as u64);
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        hash = fnv_u64(
-            hash,
-            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
-        );
+    let hash = fnv_u64(hash, bytes.len() as u64);
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    let (mut l0, mut l1, mut l2, mut l3) = (
+        hash,
+        hash.rotate_left(16),
+        hash.rotate_left(32),
+        hash.rotate_left(48),
+    );
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        l0 = fnv_u64(l0, word(&block[..8]));
+        l1 = fnv_u64(l1, word(&block[8..16]));
+        l2 = fnv_u64(l2, word(&block[16..24]));
+        l3 = fnv_u64(l3, word(&block[24..]));
+    }
+    let mut hash = [l0, l1, l2, l3].into_iter().fold(hash, fnv_u64);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        hash = fnv_u64(hash, word(w));
     }
     words.remainder().iter().fold(hash, |h, &b| fnv_mix(h, b))
 }
@@ -244,10 +262,9 @@ enum Ev {
         dst: ProcessId,
         frame: Frame,
     },
-    Timer {
-        dst: ProcessId,
-        timer: TimerId,
-    },
+    /// The retransmission timer of `dst`'s channel to `peer`; which
+    /// generation it fires is decided when it is popped.
+    Timer { dst: ProcessId, peer: ProcessId },
 }
 
 /// Heap entry ordered by `(at_us, seq)`; `seq` is the scheduling order, so
@@ -279,6 +296,21 @@ struct Proc {
     id: ProcessId,
     engine: Endpoint,
     done: CompletionQueue,
+    /// One record per peer this endpoint has armed a timer for, created on
+    /// first use (a cluster's endpoints talk to few peers, so a scan is
+    /// enough).
+    timers: Vec<ChannelTimer>,
+}
+
+/// The retransmission timer of one (endpoint, peer) channel.
+struct ChannelTimer {
+    peer: ProcessId,
+    /// The armed timer as `(generation, deadline, scheduling order)`;
+    /// `None` once cancelled or fired.
+    live: Option<(u64, u64, u64)>,
+    /// `(deadline, scheduling order)` of the one queue entry standing for
+    /// this timer, if any.
+    queued: Option<(u64, u64)>,
 }
 
 struct ChaosRouter {
@@ -455,23 +487,103 @@ impl ChaosRouter {
                         }
                     }
                 }
-                Action::SetTimer { timer, delay_us } => {
-                    let at = self.now_us + delay_us;
-                    self.schedule(at, Ev::Timer { dst: id, timer });
-                }
-                // Timer cancellation is lazy: the queued event still fires,
-                // and the channel's generation check makes the stale
-                // `on_timeout` a no-op.  Cost-model hints have no substrate
-                // to charge, and drop/failure notifications are already
-                // counted in the engine's own stats.
-                Action::CancelTimer { .. }
-                | Action::Translate { .. }
+                Action::SetTimer { timer, delay_us } => self.arm_timer(idx, timer, delay_us),
+                Action::CancelTimer { timer } => self.cancel_timer(idx, timer),
+                // Cost-model hints have no substrate to charge, and
+                // drop/failure notifications are already counted in the
+                // engine's own stats.
+                Action::Translate { .. }
                 | Action::Copy { .. }
                 | Action::PacketDropped { .. }
                 | Action::ChannelFailed { .. } => {}
             }
         }
         self.actions = actions;
+    }
+
+    /// Arms (or re-arms) the timer of `procs[idx]`'s channel to
+    /// `timer.peer`.  The queue holds at most one entry per channel timer: a
+    /// re-arm to a later deadline only updates the record, and the entry
+    /// moves itself there when it is popped (see [`Self::claim_timer`]).
+    fn arm_timer(&mut self, idx: usize, timer: TimerId, delay_us: u64) {
+        let at_us = self.now_us + delay_us;
+        // Consumed even when nothing is queued now: the order a timer was
+        // armed in is the order it fires in among simultaneous events.
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let proc = &mut self.procs[idx];
+        let dst = proc.id;
+        let slot = match proc.timers.iter().position(|t| t.peer == timer.peer) {
+            Some(i) => &mut proc.timers[i],
+            None => {
+                proc.timers.push(ChannelTimer {
+                    peer: timer.peer,
+                    live: None,
+                    queued: None,
+                });
+                proc.timers.last_mut().expect("just pushed")
+            }
+        };
+        slot.live = Some((timer.generation, at_us, seq));
+        if slot.queued.is_some_and(|(queued_at, _)| queued_at <= at_us) {
+            return;
+        }
+        slot.queued = Some((at_us, seq));
+        self.queue.push(Reverse(Pending {
+            at_us,
+            seq,
+            ev: Ev::Timer {
+                dst,
+                peer: timer.peer,
+            },
+        }));
+    }
+
+    /// Disarms the timer of `procs[idx]`'s channel to `timer.peer`.  Its
+    /// queued entry, if any, stays put and is dropped when popped.
+    fn cancel_timer(&mut self, idx: usize, timer: TimerId) {
+        let timers = &mut self.procs[idx].timers;
+        if let Some(slot) = timers.iter_mut().find(|t| t.peer == timer.peer) {
+            if slot
+                .live
+                .is_some_and(|(generation, ..)| generation == timer.generation)
+            {
+                slot.live = None;
+            }
+        }
+    }
+
+    /// Decides what a popped timer entry is: the generation to fire when
+    /// its timer is still armed for this deadline, or `None` when the entry
+    /// is superseded (the timer was cancelled, or re-armed to a later
+    /// deadline — the entry is then queued again at that deadline).  A
+    /// stale generation was always a no-op in the engine, so the engine
+    /// still sees every timer it would act on.
+    fn claim_timer(
+        &mut self,
+        dst: ProcessId,
+        peer: ProcessId,
+        at_us: u64,
+        seq: u64,
+    ) -> Option<u64> {
+        let d = self.idx(dst)?;
+        let slot = self.procs[d].timers.iter_mut().find(|t| t.peer == peer)?;
+        if slot.queued != Some((at_us, seq)) {
+            return None;
+        }
+        slot.queued = None;
+        let (generation, live_at, live_seq) = slot.live?;
+        if live_at > at_us {
+            slot.queued = Some((live_at, live_seq));
+            self.queue.push(Reverse(Pending {
+                at_us: live_at,
+                seq: live_seq,
+                ev: Ev::Timer { dst, peer },
+            }));
+            return None;
+        }
+        slot.live = None;
+        Some(generation)
     }
 
     fn record(&mut self, kind: TraceKind, src: ProcessId, dst: ProcessId, payload_hash: u64) {
@@ -499,6 +611,17 @@ impl ChaosRouter {
     /// event budget is exceeded or a channel is wedged.
     fn run(&mut self) {
         while let Some(Reverse(pending)) = self.queue.pop() {
+            // A superseded timer entry is not an event: it neither counts
+            // nor moves the clock.
+            let timer = match pending.ev {
+                Ev::Timer { dst, peer } => {
+                    match self.claim_timer(dst, peer, pending.at_us, pending.seq) {
+                        Some(generation) => Some(TimerId { peer, generation }),
+                        None => continue,
+                    }
+                }
+                _ => None,
+            };
             debug_assert!(pending.at_us >= self.now_us, "virtual time went backwards");
             self.now_us = pending.at_us;
             // Every trace event this dispatch emits is stamped with the
@@ -537,7 +660,8 @@ impl ChaosRouter {
                     self.procs[d].engine.handle_frame(src, frame);
                     self.collect(d);
                 }
-                Ev::Timer { dst, timer } => {
+                Ev::Timer { dst, .. } => {
+                    let timer = timer.expect("claimed above");
                     let hash = fnv_u64(FNV_OFFSET, timer.generation);
                     self.record(TraceKind::Timer, dst, dst, hash);
                     let d = self.idx(dst).expect("timer owner is registered");
@@ -658,7 +782,12 @@ impl ChaosCluster {
         }
         let idx = router.procs.len() as u32;
         router.index.insert(id.as_u64(), idx);
-        router.procs.push(Proc { id, engine, done });
+        router.procs.push(Proc {
+            id,
+            engine,
+            done,
+            timers: Vec::new(),
+        });
         ChaosEndpoint {
             router: self.router.clone(),
             id,

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use push_pull_messaging::coll::Group;
 use push_pull_messaging::core::{Error, ANY_SOURCE, ANY_TAG};
 use push_pull_messaging::prelude::*;
-use push_pull_messaging::sim::chaos::{seed_start_from_env, seeds_from_env, sweep};
+use push_pull_messaging::sim::chaos::{seed_start_from_env, seeds_from_env, sweep, TraceKind};
 use push_pull_messaging::simnet::fault::{
     derive_seed, DelayModel, DuplicateModel, PartitionSchedule, ReorderModel,
 };
@@ -489,6 +489,140 @@ fn sabotaged_selective_repeat_fails_the_sweep() {
         "failures must come from the wedge detector and name the mode: {:?}",
         report.failures.first()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Proportionate recovery and live-only timers
+// ---------------------------------------------------------------------------
+
+/// The standing benchmark's fault mix: 5 % drop, 1 % duplication, 2 %
+/// reordering, default jitter, no partitions.
+fn benchmark_faults(seed: u64) -> ChaosConfig {
+    ChaosConfig {
+        drop_p: 0.05,
+        duplicate_p: 0.01,
+        reorder_p: 0.02,
+        ..ChaosConfig::new(seed).with_partition(None)
+    }
+}
+
+/// Selective repeat resends in proportion to what the network loses: over
+/// 256 seeds of a 64 KiB transfer, retransmissions stay within 1.25x the
+/// frames the fault plane dropped, and the receiving side sees at most two
+/// duplicate frames per transfer (network duplicates included).
+#[test]
+fn selective_repeat_retransmits_in_proportion_to_loss() {
+    const SEEDS: u64 = 256;
+    const LEN: usize = 64 * 1024;
+    let (mut retx, mut dropped, mut dups) = (0u64, 0u64, 0u64);
+    for seed in 0..SEEDS {
+        let cluster = ChaosCluster::new(proto_sr(), benchmark_faults(seed));
+        let a = Endpoint::new(cluster.add_endpoint(ProcessId::new(0, 0)));
+        let b = Endpoint::new(cluster.add_endpoint(ProcessId::new(1, 0)));
+        let data = payload(LEN);
+        let recv = b
+            .post_recv(a.local_id(), Tag(1), LEN, TruncationPolicy::Error)
+            .unwrap();
+        a.post_send(b.local_id(), Tag(1), data.clone()).unwrap();
+        let done = b.wait(OpId::Recv(recv), TIMEOUT).expect("delivered");
+        assert_eq!(done.data.as_deref(), Some(&data[..]), "seed {seed}");
+        let (sa, sb) = (a.stats(), b.stats());
+        retx += sa.retransmits + sb.retransmits;
+        dups += sa.duplicate_frames + sb.duplicate_frames;
+        dropped += cluster.chaos_stats().frames_dropped;
+    }
+    assert!(dropped > 0, "the fault plane must drop something");
+    assert!(
+        retx * 4 <= dropped * 5,
+        "{retx} retransmissions for {dropped} dropped frames over {SEEDS} seeds"
+    );
+    assert!(
+        dups <= 2 * SEEDS,
+        "{dups} duplicate frames over {SEEDS} transfers"
+    );
+}
+
+/// Runs `scenario` on a fresh thread named `name` and returns that thread's
+/// flight-recorder events (each thread records into its own ring).
+#[cfg(feature = "telemetry")]
+fn recorded_on_own_thread(
+    name: &str,
+    scenario: impl FnOnce() + Send + 'static,
+) -> Vec<push_pull_messaging::core::telemetry::Event> {
+    use push_pull_messaging::core::telemetry::snapshot;
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(scenario)
+        .unwrap()
+        .join()
+        .unwrap();
+    let ring = snapshot()
+        .rings
+        .into_iter()
+        .find(|ring| ring.name == name)
+        .expect("the scenario recorded events");
+    assert_eq!(ring.dropped, 0, "the ring must hold the whole run");
+    ring.events
+}
+
+/// The chaos router dispatches only timers that are still armed: a lossy
+/// run in either reliability mode fires real retransmission timeouts but
+/// never hands a channel a superseded generation.
+#[cfg(feature = "telemetry")]
+#[test]
+fn chaos_router_dispatches_only_live_timers() {
+    use push_pull_messaging::core::telemetry::EventKind;
+    for (mode, protocol) in [("gbn", proto()), ("sr", proto_sr())] {
+        let events = recorded_on_own_thread(&format!("live-timers-{mode}"), move || {
+            let cfg = ChaosConfig::new(5).with_drop(0.2).with_partition(None);
+            let cluster = ChaosCluster::new(protocol, cfg);
+            let a = Endpoint::new(cluster.add_endpoint(ProcessId::new(0, 0)));
+            let c = Endpoint::new(cluster.add_endpoint(ProcessId::new(1, 0)));
+            for i in 0..4 {
+                let data = payload(6_000 + 1_000 * i);
+                let recv = c
+                    .post_recv(a.local_id(), Tag(1), data.len(), TruncationPolicy::Error)
+                    .unwrap();
+                a.post_send(c.local_id(), Tag(1), data.clone()).unwrap();
+                let done = c.wait(OpId::Recv(recv), TIMEOUT).expect("recovered");
+                assert_eq!(done.data.as_deref(), Some(&data[..]));
+            }
+            assert!(a.stats().rto_retransmits > 0, "timeouts must have fired");
+        });
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+        assert!(count(EventKind::TimerFire) > 0, "{mode}: no timer fired");
+        assert_eq!(
+            count(EventKind::TimerStale),
+            0,
+            "{mode}: stale timer dispatched"
+        );
+    }
+}
+
+/// A cancelled timer costs nothing: once the last ack cancels the
+/// retransmission timer, the run ends at the virtual time of that last
+/// frame instead of one retransmission timeout later.
+#[test]
+fn cancelled_timer_does_not_stretch_quiescence() {
+    let protocol = proto();
+    let rto_us = protocol.gbn.rto_us;
+    let cluster = ChaosCluster::new(protocol, ChaosConfig::lossless(8).with_trace());
+    let a = Endpoint::new(cluster.add_endpoint(ProcessId::new(0, 0)));
+    let c = Endpoint::new(cluster.add_endpoint(ProcessId::new(1, 0)));
+    let recv = c
+        .post_recv(a.local_id(), Tag(1), 64, TruncationPolicy::Error)
+        .unwrap();
+    a.post_send(c.local_id(), Tag(1), payload(64)).unwrap();
+    assert!(c.wait(OpId::Recv(recv), TIMEOUT).is_some());
+    let trace = cluster.take_trace();
+    let last = trace.last().expect("the send crossed the wire");
+    assert_eq!(last.kind, TraceKind::Frame, "the run ends with the ack");
+    assert!(
+        trace.iter().all(|r| r.kind != TraceKind::Timer),
+        "no timer fires on a lossless link"
+    );
+    assert_eq!(cluster.now_us(), last.at_us);
+    assert!(cluster.now_us() < rto_us);
 }
 
 // ---------------------------------------------------------------------------
