@@ -294,8 +294,8 @@ impl Default for ProtocolConfig {
 /// spelled out on every posted receive.  `EndpointConfig` is the builder
 /// that makes these **per endpoint**: pass it to a backend's `*_with`
 /// constructor (`HostCluster::add_endpoint_with`,
-/// `LoopbackCluster::add_endpoint_with`, `UdpEndpoint::bind_with`) or apply
-/// it to an existing endpoint through the facade front-end.
+/// `LoopbackCluster::add_endpoint_with`, `Reactor::add_endpoint_with`) or
+/// apply it to an existing endpoint through the facade front-end.
 ///
 /// Every field is optional; an unset field keeps the backend's default.
 ///

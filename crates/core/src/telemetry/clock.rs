@@ -10,7 +10,7 @@
 //! * **Sim backends** ([`ChaosCluster`](https://docs.rs/) and friends) call
 //!   [`set_virtual_us`] whenever their virtual clock advances.  Events become
 //!   deterministic — the same seed produces byte-identical trace timestamps.
-//! * **Host backends** (reactor, intranode, UDP) call [`hold`] at batch
+//! * **Host backends** (reactor, intranode) call [`hold`] at batch
 //!   boundaries.  One monotonic clock read is amortized over every event the
 //!   batch records, keeping per-event cost to a thread-local load.
 //! * **Unmanaged threads** (unit tests poking a bare `Endpoint`) fall back

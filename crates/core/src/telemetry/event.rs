@@ -85,11 +85,13 @@ pub mod frame_kind {
 }
 
 /// `a`-argument codes for [`EventKind::EngineLock`]: which path held the lock.
+///
+/// Recorded dumps decode these by number, so a retired code is never reused
+/// and the others keep their values: code 1 belonged to a removed
+/// thread-per-endpoint UDP backend.
 pub mod lock_ctx {
     /// A sharded-engine interaction (intranode post / packet / timer).
     pub const SHARD: u32 = 0;
-    /// A UDP endpoint engine call.
-    pub const UDP: u32 = 1;
     /// A reactor user-thread engine call.
     pub const REACTOR_USER: u32 = 2;
     /// The reactor loop processing one receive batch.

@@ -5,19 +5,18 @@
 //! library is usable as an actual messaging layer:
 //!
 //! * **intranode**: processes within one OS process (threads) exchange
-//!   packets through an in-memory "kernel agent" built on `crossbeam`
-//!   channels — the moral equivalent of the paper's shared-memory path (a
+//!   packets through an in-memory "kernel agent" of locked per-rank
+//!   engines — the moral equivalent of the paper's shared-memory path (a
 //!   user-space library cannot observe physical addresses, so the
 //!   cross-space zero buffer degenerates to passing `Bytes` handles, which
 //!   is also a one-copy transfer);
 //! * **internode**: endpoints bound to UDP sockets (loopback or a real
-//!   network) exchange ARQ-framed packets — either one background thread
-//!   per endpoint ([`UdpEndpoint`]) or one [`Reactor`] event loop driving
-//!   many endpoints with batched `recvmmsg`/`sendmmsg` I/O and a shared
-//!   timer wheel ([`ReactorEndpoint`]).
+//!   network) exchange ARQ-framed packets; one [`Reactor`] event loop
+//!   drives every endpoint ([`ReactorEndpoint`]) with batched
+//!   `recvmmsg`/`sendmmsg` I/O and a shared timer wheel.
 //!
 //! The public entry points are [`HostCluster`] / [`HostEndpoint`] for the
-//! intranode fabric and [`UdpEndpoint`] / [`Reactor`] for socket-based
+//! intranode fabric and [`Reactor`] / [`ReactorEndpoint`] for socket-based
 //! internode channels.
 
 #![warn(missing_docs)]
@@ -25,10 +24,8 @@
 
 mod intranode;
 mod reactor;
-mod udp;
 
 pub use intranode::{HostCluster, HostEndpoint};
 pub use reactor::{Reactor, ReactorEndpoint, ReactorMetrics};
-pub use udp::UdpEndpoint;
 
 pub use ppmsg_core::{ProcessId, ProtocolConfig, ProtocolMode, Tag};

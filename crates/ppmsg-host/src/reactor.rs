@@ -1,10 +1,9 @@
-//! Many-peer reactor backend: one event-loop thread drives every endpoint
-//! registered with a [`Reactor`], so a process serving thousands of peers
-//! spends one thread (and one `epoll`-style wait) instead of one thread per
-//! endpoint the way [`UdpEndpoint`](crate::UdpEndpoint) does.
+//! The UDP backend: one event-loop thread drives every endpoint registered
+//! with a [`Reactor`], so a process serving thousands of peers spends one
+//! thread (and one `poll(2)` wait) in total rather than one reception
+//! thread per endpoint.
 //!
-//! Three mechanisms distinguish the reactor from the thread-per-endpoint
-//! UDP backend:
+//! Three mechanisms keep that one thread cheap per datagram and per peer:
 //!
 //! * **Batched syscalls.** On Linux the reception path drains up to
 //!   [`RECV_BATCH`] datagrams per `recvmmsg(2)` call and the transmission
@@ -18,18 +17,18 @@
 //!   fed to the protocol engine under a single lock acquisition, and the
 //!   actions the batch produced are applied — and the send batch flushed —
 //!   **before that lock is released**.  This preserves the ordering
-//!   invariant documented on [`udp`](crate::UdpEndpoint)'s `run_engine`:
-//!   applying actions after unlock can interleave two interactions'
-//!   `SetTimer` actions and wedge a transfer.
+//!   invariant documented on `EpShared::run_engine`: applying actions
+//!   after unlock can interleave two interactions' `SetTimer` actions and
+//!   wedge a transfer.
 //! * **A hashed timer wheel.** Retransmission timers from every hosted
 //!   endpoint land in one wheel with [`TICK_US`]-microsecond resolution.
 //!   The wheel is *insert-only*: `CancelTimer` is ignored and superseded
 //!   timers are left to fire, because every [`TimerId`] carries a
 //!   generation and the ARQ channels treat a stale generation's timeout as
 //!   a no-op (the chaos harness proves that property under a seeded fault
-//!   plane).  Lazy cancellation keeps insertion O(1) with no per-peer scan
-//!   — the scan in the UDP backend's flat timer list is exactly what stops
-//!   scaling past a few hundred peers.
+//!   plane).  Lazy cancellation keeps insertion O(1) with no per-peer scan:
+//!   a flat timer list that retains-out the peer's old timer on every
+//!   re-arm is exactly what stops scaling past a few hundred peers.
 //!
 //! Endpoints are added with [`Reactor::add_endpoint`]; the returned
 //! [`ReactorEndpoint`] implements [`RawTransport`], so the facade's
@@ -276,9 +275,9 @@ mod sys {
     }
 
     /// Transmits every `(frame, destination)` pair, coalescing runs of
-    /// IPv4 destinations into `sendmmsg` batches.  Errors are ignored,
-    /// matching the UDP backend: a lost datagram is recovered by the ARQ
-    /// layer.
+    /// IPv4 destinations into `sendmmsg` batches.  Errors (e.g.
+    /// `ECONNREFUSED` on loopback) are ignored: a lost datagram is
+    /// recovered by the ARQ layer.
     pub(super) fn send_batch(socket: &UdpSocket, frames: &[(BytesMut, SocketAddr)]) {
         let mut i = 0;
         while i < frames.len() {
@@ -413,8 +412,8 @@ impl TimerWheel {
 // ---------------------------------------------------------------------------
 
 /// Peer addressing in both directions: `by_addr` gives the reception path
-/// O(1) source identification (the UDP backend's linear reverse scan is
-/// another thing that stops scaling past a few hundred peers).
+/// O(1) source identification (a linear reverse scan of `by_id` per
+/// datagram is another thing that stops scaling past a few hundred peers).
 #[derive(Default)]
 struct PeerTable {
     by_id: HashMap<u64, SocketAddr>,
@@ -587,8 +586,22 @@ impl EpShared {
     }
 
     /// Runs one engine interaction, applying its actions **before
-    /// releasing the engine lock** (the ordering invariant documented on
-    /// the UDP backend's `run_engine`), then publishes completions.
+    /// releasing the engine lock**, then publishes completions; the
+    /// caller's buffers are reused.
+    ///
+    /// Applying under the lock is load-bearing.  Engine interactions run
+    /// on user threads and on the reactor thread (reception batches and
+    /// timer fires), and the ARQ timer protocol (`SetTimer` re-arms with a
+    /// bumped generation, `CancelTimer` revokes a specific generation) is
+    /// only correct if each interaction's actions are applied in the order
+    /// the engine produced them.  Applied after unlock into a store that
+    /// keeps one timer per peer, a stale `SetTimer` overwrote a newer
+    /// re-arm: the channel ignored the stale generation's timeout, no
+    /// retransmission ever fired, and a single reordered or lost datagram
+    /// wedged the transfer forever.  The insert-only wheel cannot be
+    /// overwritten, but frames still leave in production order, which
+    /// spares the receiver the discard and cumulative-ack recovery that
+    /// overtaking sends force.
     fn run_engine<R>(
         &self,
         actions: &mut Vec<Action>,
@@ -910,10 +923,10 @@ impl Drop for Reactor {
 
 /// A Push-Pull Messaging endpoint hosted by a [`Reactor`].
 ///
-/// The posting API matches [`UdpEndpoint`](crate::UdpEndpoint); reception
-/// and retransmission timers are driven by the reactor's event loop
-/// instead of a dedicated thread.  Dropping the endpoint deregisters it
-/// from the event loop.
+/// Postings run the engine on the calling thread; reception and
+/// retransmission timers are driven by the reactor's event loop, which
+/// this endpoint shares with every other endpoint of its reactor.
+/// Dropping the endpoint deregisters it from the event loop.
 pub struct ReactorEndpoint {
     shared: Arc<EpShared>,
 }
@@ -1029,7 +1042,7 @@ impl ReactorEndpoint {
     }
 }
 
-/// Same contract as the UDP backend: posting runs the engine on the
+/// The reactor backend's contract: posting runs the engine on the
 /// calling thread (the reactor thread publishes concurrent completions),
 /// and completion access goes through the mailbox's queue under the same
 /// lock publication takes, so check-and-register through
@@ -1210,17 +1223,15 @@ mod tests {
         assert_eq!(a.stats().recvs_completed, 10);
     }
 
-    #[test]
-    fn late_receiver_recovers_via_selective_repeat() {
-        // Push-All with a tiny pushed buffer: the eager frames overflow
-        // and are dropped; selective-repeat retransmissions complete the
-        // transfer once the receive is posted, resending only what the
-        // SACKs reveal as missing.
+    /// Push-All with a tiny pushed buffer: the eager frames overflow and
+    /// are dropped; `reliability`'s retransmissions complete the transfer
+    /// once the receive is posted.
+    fn late_receiver_recovers(reliability: ReliabilityMode) {
         let reactor = Reactor::new().unwrap();
         let protocol = ProtocolConfig::paper_internode()
             .with_mode(ProtocolMode::PushAll)
             .with_pushed_buffer(4 * 1024);
-        let config = EndpointConfig::new().reliability(ReliabilityMode::SelectiveRepeat);
+        let config = EndpointConfig::new().reliability(reliability);
         let (a, b) = pair(&reactor, protocol, &config);
         let data = payload(16 * 1024);
         send(&a, b.id(), Tag(7), data.clone());
@@ -1228,7 +1239,19 @@ mod tests {
         let got = recv(&b, a.id(), Tag(7), 16 * 1024, T).expect("recv timed out");
         assert_eq!(got, data);
         assert!(b.stats().frames_dropped > 0, "expected pushed-buffer drops");
-        assert!(a.stats().retransmits > 0, "expected SR retransmissions");
+        assert!(a.stats().retransmits > 0, "expected retransmissions");
+    }
+
+    #[test]
+    fn late_receiver_recovers_via_selective_repeat() {
+        // Resends only what the SACKs reveal as missing.
+        late_receiver_recovers(ReliabilityMode::SelectiveRepeat);
+    }
+
+    #[test]
+    fn late_receiver_recovers_via_go_back_n() {
+        // Resends the whole window behind the first hole.
+        late_receiver_recovers(ReliabilityMode::GoBackN);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The real (non-simulated) backend: threads exchanging messages through the
-//! shared-memory fabric and through UDP loopback sockets, using the same
-//! protocol engine the simulator drives.
+//! The real (non-simulated) backends: threads exchanging messages through the
+//! shared-memory fabric, and through UDP loopback sockets driven by one
+//! reactor event loop, using the same protocol engine the simulator drives.
 //!
 //! Run with: `cargo run --release --example host_backend_demo`
 
@@ -43,10 +43,15 @@ fn main() {
         bytes / elapsed.as_secs_f64() / 1e6
     );
 
-    // --- internode: UDP loopback -----------------------------------------
+    // --- internode: UDP loopback, one reactor loop ------------------------
+    let reactor = Reactor::new().unwrap();
     let proto = ProtocolConfig::paper_internode().with_pushed_buffer(256 * 1024);
-    let ua = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-    let ub = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
+    let ua = reactor
+        .add_endpoint(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0")
+        .unwrap();
+    let ub = reactor
+        .add_endpoint(ProcessId::new(1, 0), proto, "127.0.0.1:0")
+        .unwrap();
     ua.add_peer(ub.id(), ub.local_addr().unwrap());
     ub.add_peer(ua.id(), ua.local_addr().unwrap());
     let (ua, ub) = (Endpoint::new(ua), Endpoint::new(ub));
@@ -66,7 +71,7 @@ fn main() {
     }
     let elapsed = start.elapsed();
     println!(
-        "udp loopback: {iters} x 4 KiB round trips in {:.2?} ({:.1} us/rtt)",
+        "udp reactor: {iters} x 4 KiB round trips in {:.2?} ({:.1} us/rtt)",
         elapsed,
         elapsed.as_micros() as f64 / iters as f64
     );

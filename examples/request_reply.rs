@@ -12,8 +12,8 @@
 //! * the deterministic sim-cluster loopback (same interleaving every run),
 //! * the intranode shared-memory fabric (engines pumped on the posting
 //!   thread),
-//! * the UDP internode backend (engines pumped by per-endpoint reception
-//!   threads; completions wake the driver).
+//! * UDP sockets on one reactor (engines pumped by the reactor's event-loop
+//!   thread; completions wake the driver).
 //!
 //! Run with: `cargo run --example request_reply`
 
@@ -131,13 +131,15 @@ fn main() {
     }
     assert_eq!(run_request_reply(endpoints, "intranode"), expected);
 
-    // UDP internode backend: real sockets on localhost, reception threads
-    // pumping the engines, completions waking the driver.
+    // UDP reactor: real sockets on localhost, one event-loop thread pumping
+    // every engine, completions waking the driver.
+    let reactor = Reactor::new().expect("spawn reactor");
     let proto = ProtocolConfig::paper_internode().with_pushed_buffer(128 * 1024);
     let mut endpoints = Vec::new();
     for rank in 0..=CLIENTS as u32 {
         endpoints.push(Endpoint::new(
-            UdpEndpoint::bind(ProcessId::new(rank, 0), proto.clone(), "127.0.0.1:0")
+            reactor
+                .add_endpoint(ProcessId::new(rank, 0), proto.clone(), "127.0.0.1:0")
                 .expect("bind UDP endpoint"),
         ));
     }
@@ -152,7 +154,7 @@ fn main() {
             }
         }
     }
-    assert_eq!(run_request_reply(endpoints, "udp"), expected);
+    assert_eq!(run_request_reply(endpoints, "reactor"), expected);
 
     println!("request/reply completed on all three backends");
 }

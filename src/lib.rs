@@ -75,7 +75,7 @@ pub mod prelude {
         Action, BtpPolicy, Claim, Completion, OpId, OptFlags, ProcessId, ProtocolConfig,
         ProtocolMode, RecvBuf, RecvOp, ReliabilityMode, SendOp, Status, Tag, TruncationPolicy,
     };
-    pub use ppmsg_host::{HostCluster, HostEndpoint, Reactor, ReactorEndpoint, UdpEndpoint};
+    pub use ppmsg_host::{HostCluster, HostEndpoint, Reactor, ReactorEndpoint};
     pub use ppmsg_sim::{
         ChaosCluster, ChaosConfig, ChaosEndpoint, ChaosReport, ChaosStats, ClusterConfig,
         LoopbackCluster, LoopbackEndpoint, Op, ProcessScript, SimCluster,

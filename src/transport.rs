@@ -108,7 +108,7 @@ fn check_recv_tag(tag: Tag) -> Result<()> {
 /// re-derive lives here as shared code: blocking waits and conveniences,
 /// async futures, vectored sends, batch and borrowed completion drains, and
 /// per-endpoint defaults from [`EndpointConfig`].  The wrapped backend is a
-/// plain value — `Endpoint<LoopbackEndpoint>`, `Endpoint<UdpEndpoint>`,
+/// plain value — `Endpoint<LoopbackEndpoint>`, `Endpoint<ReactorEndpoint>`,
 /// `Endpoint<Box<dyn RawTransport>>` (see [`Endpoint::boxed`]) — and stays
 /// accessible through [`Endpoint::raw`].
 #[derive(Debug)]

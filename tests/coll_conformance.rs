@@ -1,7 +1,7 @@
 //! Conformance suite for the collectives subsystem: every behavioural
 //! contract written **once** as generic case bodies over
 //! `GroupMember<T: RawTransport>` and instantiated per backend (intranode
-//! shared-memory fabric, UDP, sim-cluster loopback) by the
+//! shared-memory fabric, UDP reactor, sim-cluster loopback) by the
 //! `coll_conformance_suite!` macro — the same pattern the point-to-point
 //! conformance tests use.
 //!
@@ -306,10 +306,19 @@ mod setup {
             .collect()
     }
 
-    pub fn udp_group() -> Vec<GroupMember<UdpEndpoint>> {
+    /// Four ranks on four nodes, every endpoint hosted by one reactor event
+    /// loop shared by all the reactor cases (each case adds a fresh group;
+    /// dropped groups must deregister cleanly).
+    pub fn reactor_group() -> Vec<GroupMember<ReactorEndpoint>> {
+        static REACTOR: std::sync::OnceLock<Reactor> = std::sync::OnceLock::new();
+        let reactor = REACTOR.get_or_init(|| Reactor::new().expect("spawn reactor"));
         let proto = ProtocolConfig::paper_internode().with_pushed_buffer(512 * 1024);
-        let endpoints: Vec<UdpEndpoint> = (0..4)
-            .map(|r| UdpEndpoint::bind(ProcessId::new(r, 0), proto.clone(), "127.0.0.1:0").unwrap())
+        let endpoints: Vec<ReactorEndpoint> = (0..4)
+            .map(|r| {
+                reactor
+                    .add_endpoint(ProcessId::new(r, 0), proto.clone(), "127.0.0.1:0")
+                    .unwrap()
+            })
             .collect();
         for a in &endpoints {
             for b in &endpoints {
@@ -369,7 +378,7 @@ macro_rules! coll_conformance_suite {
 }
 
 coll_conformance_suite!(intranode, setup::intranode_group);
-coll_conformance_suite!(udp, setup::udp_group);
+coll_conformance_suite!(reactor, setup::reactor_group);
 coll_conformance_suite!(loopback, setup::loopback_group);
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,9 @@
 //! `conformance_suite!` macro — replacing the copy-adapted per-backend
 //! blocks the integration tests used to carry.
 //!
-//! Covered per backend (intranode fabric, UDP, sim-cluster loopback):
+//! Covered per backend (intranode fabric, sim-cluster loopback, and the
+//! chaos router and UDP reactor, each of those two under both go-back-N
+//! and selective repeat):
 //! blocking round trips, wildcard matching, caller-owned buffers, recv and
 //! send cancellation, both truncation policies (the PR-2 "too-small receive
 //! poisons the message" regression), vectored sends, borrowed completion
@@ -395,15 +397,6 @@ mod setup {
         )
     }
 
-    pub fn udp_pair() -> (Endpoint<UdpEndpoint>, Endpoint<UdpEndpoint>) {
-        let proto = ProtocolConfig::paper_internode().with_pushed_buffer(128 * 1024);
-        let a = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-        let b = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
-        a.add_peer(b.id(), b.local_addr().unwrap());
-        b.add_peer(a.id(), a.local_addr().unwrap());
-        (Endpoint::new(a), Endpoint::new(b))
-    }
-
     pub fn loopback_pair() -> (Endpoint<LoopbackEndpoint>, Endpoint<LoopbackEndpoint>) {
         let cluster =
             LoopbackCluster::new(ProtocolConfig::paper_internode().with_pushed_buffer(128 * 1024));
@@ -513,7 +506,6 @@ macro_rules! conformance_suite {
 }
 
 conformance_suite!(intranode, setup::intranode_pair);
-conformance_suite!(udp, setup::udp_pair);
 conformance_suite!(loopback, setup::loopback_pair);
 conformance_suite!(chaos, setup::chaos_pair);
 conformance_suite!(chaos_selective_repeat, setup::chaos_sr_pair);

@@ -1,10 +1,11 @@
 //! Races the multi-core stack end to end: N producer threads post sends
 //! while consumer tasks on an M-worker [`Pool`] await the matching
 //! receives, over all three real backends (intranode shared memory — with a
-//! sharded consumer engine — UDP sockets, and the loopback cluster).  Every
-//! message carries its `(producer, sequence)` identity in its first bytes;
-//! the suite asserts **exactly-once** completion: no identity lost, none
-//! delivered twice, every payload intact.
+//! sharded consumer engine — UDP sockets on one reactor loop, and the
+//! loopback cluster).  Every message carries its `(producer, sequence)`
+//! identity in its first bytes; the suite asserts **exactly-once**
+//! completion: no identity lost, none delivered twice, every payload
+//! intact.
 //!
 //! A deterministic proptest then checks the executors against each other:
 //! for a random transfer script on loopback, work-stealing execution on the
@@ -157,14 +158,21 @@ fn intranode_sharded_exactly_once() {
     assert_eq!(stats.recvs_completed as usize, producers() * messages());
 }
 
+/// Fan-in over UDP sockets: the consumer and every producer are hosted by
+/// one reactor event loop, so concurrent producer postings race the loop
+/// thread's batched reception on the consumer's engine lock.
 #[test]
-fn udp_exactly_once() {
+fn reactor_exactly_once() {
+    let reactor = Reactor::new().expect("spawn reactor");
     let proto = ProtocolConfig::paper_internode().with_pushed_buffer(512 * 1024);
-    let consumer = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
+    let consumer = reactor
+        .add_endpoint(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0")
+        .unwrap();
     let peers: Vec<_> = (1..=producers() as u32)
         .map(|rank| {
-            let peer =
-                UdpEndpoint::bind(ProcessId::new(1, rank), proto.clone(), "127.0.0.1:0").unwrap();
+            let peer = reactor
+                .add_endpoint(ProcessId::new(1, rank), proto.clone(), "127.0.0.1:0")
+                .unwrap();
             consumer.add_peer(peer.id(), peer.local_addr().unwrap());
             peer.add_peer(consumer.id(), consumer.local_addr().unwrap());
             Endpoint::new(peer)

@@ -227,11 +227,19 @@ fn driver_reuses_task_slots_across_many_spawns() {
     );
 }
 
+/// The paper's BTP boundaries over real sockets: a 1-byte message,
+/// `BTP(1)` = 80 bytes, the whole pushed prefix of 760 bytes (80 + 680),
+/// one full 1460-byte frame, and larger messages whose remainder is pulled.
 #[test]
-fn udp_and_intranode_backends_interoperate_with_same_engine_config() {
+fn reactor_delivers_every_btp_boundary_length() {
+    let reactor = Reactor::new().expect("spawn reactor");
     let proto = ProtocolConfig::paper_internode().with_pushed_buffer(64 * 1024);
-    let a = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-    let b = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
+    let a = reactor
+        .add_endpoint(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0")
+        .unwrap();
+    let b = reactor
+        .add_endpoint(ProcessId::new(1, 0), proto, "127.0.0.1:0")
+        .unwrap();
     a.add_peer(b.id(), b.local_addr().unwrap());
     b.add_peer(a.id(), a.local_addr().unwrap());
     let (a, b) = (Endpoint::new(a), Endpoint::new(b));

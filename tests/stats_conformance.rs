@@ -201,20 +201,6 @@ fn collect_reports() -> Vec<BackendReport> {
     }
 
     {
-        let proto = ProtocolConfig::paper_internode().with_pushed_buffer(128 * 1024);
-        let a = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-        let b = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
-        a.add_peer(b.id(), b.local_addr().unwrap());
-        b.add_peer(a.id(), a.local_addr().unwrap());
-        let (a, b) = (Endpoint::new(a), Endpoint::new(b));
-        reports.push(BackendReport {
-            name: "udp",
-            stats: run_workload(&a, &b),
-            arq: true,
-        });
-    }
-
-    {
         let cluster =
             LoopbackCluster::new(ProtocolConfig::paper_internode().with_pushed_buffer(128 * 1024));
         let a = Endpoint::new(cluster.add_endpoint(ProcessId::new(0, 0)));
